@@ -32,8 +32,8 @@ type config = {
           hatch). *)
   compile : bool;
       (** closure-compile both programs once per workload ({!Llfi.prepare}
-          / {!Pinfi.prepare} with [~compile]) and run every golden,
-          profiling and trial execution through the compiled tier.
+          / {!Pinfi.prepare} with [~compile]) and run every profiling,
+          rejoin-recording and trial execution through the compiled tier.
           Byte-identical results either way; off is the tree-walking
           reference path (the [--no-compile] escape hatch). *)
 }
@@ -79,7 +79,9 @@ val target_draw : int
     behaviorally, for both injectors, by test_fuzz.ml. *)
 
 val prepare : config -> Workload.t -> prepared
-(** Compile at both levels, golden-run both, profile both.
+(** Compile at both levels and make one fault-free profiling run at
+    each, which counts the dynamic instances and yields the golden
+    output.
     @raise Invalid_argument if the two levels' golden outputs differ. *)
 
 type runner

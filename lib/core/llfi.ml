@@ -83,13 +83,15 @@ type t = {
 
 let hang_factor = 10
 
-(** Instrument and profile a program: golden run plus one profiling run
-    counting dynamic instances per category. *)
+(** Instrument and profile a program: one fault-free profiling run
+    counts dynamic instances per category and yields the golden output
+    and step count. *)
 let prepare ?(config = default_config) ?(compile = true) ~inputs
     (prog : Ir.Prog.t) =
   let compiled = Vm.Ir_exec.compile ~classify:(classify config) prog in
   let fast = if compile then Some (Vm.Ir_exec.compile_fast compiled) else None in
-  let golden = Vm.Ir_exec.run ~inputs ?fast compiled in
+  let counts = Array.make (1 lsl Category.count) 0 in
+  let golden = Vm.Ir_exec.run ~inputs ~profile_masks:counts ?fast compiled in
   let golden_output =
     match golden.Vm.Outcome.outcome with
     | Vm.Outcome.Finished out -> out
@@ -98,8 +100,6 @@ let prepare ?(config = default_config) ?(compile = true) ~inputs
         (Fmt.str "Llfi.prepare: golden run did not finish: %a" Vm.Outcome.pp
            other)
   in
-  let counts = Array.make (1 lsl Category.count) 0 in
-  ignore (Vm.Ir_exec.run ~inputs ~profile_masks:counts ?fast compiled);
   {
     config;
     compiled;

@@ -42,8 +42,10 @@ type t = {
 }
 
 val prepare : ?config:config -> ?compile:bool -> inputs:int array -> Ir.Prog.t -> t
-(** Golden run + profiling run.  [compile] (default true) builds the
-    closure-compiled tier once and routes all subsequent runs through it.
+(** One fault-free profiling run, which yields the golden output and
+    step count as well as the dynamic counts.  [compile] (default true)
+    builds the closure-compiled tier once and routes every run through
+    it.
     @raise Invalid_argument if the golden run does not finish. *)
 
 val dynamic_count : t -> Category.t -> int

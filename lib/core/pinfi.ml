@@ -89,7 +89,8 @@ let prepare ?(config = default_config) ?(compile = true) ~inputs
     (program : Backend.Program.t) =
   let loaded = Vm.X86_exec.load ~classify program in
   let fast = if compile then Some (Vm.X86_exec.compile loaded) else None in
-  let golden = Vm.X86_exec.run ~inputs ?fast loaded in
+  let counts = Array.make (1 lsl Category.count) 0 in
+  let golden = Vm.X86_exec.run ~inputs ~profile_masks:counts ?fast loaded in
   let golden_output =
     match golden.Vm.Outcome.outcome with
     | Vm.Outcome.Finished out -> out
@@ -98,8 +99,6 @@ let prepare ?(config = default_config) ?(compile = true) ~inputs
         (Fmt.str "Pinfi.prepare: golden run did not finish: %a" Vm.Outcome.pp
            other)
   in
-  let counts = Array.make (1 lsl Category.count) 0 in
-  ignore (Vm.X86_exec.run ~inputs ~profile_masks:counts ?fast loaded);
   {
     config;
     loaded;

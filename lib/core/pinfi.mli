@@ -23,7 +23,7 @@ type t = {
   config : config;
   loaded : Vm.X86_exec.loaded;
   fast : Vm.X86_exec.fast option;
-      (** closure-compiled flat-code tier used by every run below when
+      (** closure-compiled execution tier used by every run below when
           present; [None] falls back to the tree-walking interpreter
           everywhere (the [fi --no-compile] path).  Results are
           bit-identical either way. *)

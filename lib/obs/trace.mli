@@ -3,7 +3,7 @@
     Instrumented code brackets work in {!span}.  When tracing is off
     (the default) a span is one boolean load and a call of the thunk —
     nothing is allocated or recorded, so the instrumented hot paths
-    keep their performance (the BENCH_OBS gate holds this to <= 2%).
+    keep their performance.
 
     When enabled, each domain appends completed spans to its own buffer
     (registered once per domain, then written without locking), so

@@ -1,7 +1,7 @@
 (** IR-level interpreter with fault-injection hooks.
 
     A program is compiled once into a dispatch-friendly form (operands
-    resolved to SSA slots or constants, GEPs flattened to base + scaled
+    resolved to SSA slots or constants, GEPs lowered to base + scaled
     indices + displacement, globals laid out at fixed addresses) and can
     then be executed many times cheaply — once per fault-injection trial.
 
@@ -1421,22 +1421,17 @@ let exec_op st (ci : cinstr) ienv fenv =
 
    A [compiled] program can additionally be translated, once per
    workload, into per-instruction closures ([opfn]) with operand
-   shapes, widths and destination slots resolved at compile time, plus
-   per-function precompiled blocks (phi routes, call binders, branch
-   targets) for a native-recursion golden-run loop.  The closures are
-   exact drop-in replacements for [exec_op] — same results, traps,
-   rejoin-digest dance and output, byte for byte (the compile
-   differential tests prove it) — so every execution mode can dispatch
-   through them.  The precompiled-block loop is used only for
-   unperturbed golden runs (Plain mode, no trace, no rejoin), where
-   the explicit frame stack and per-instruction mode checks can be
-   dropped entirely. *)
+   shapes, widths and destination slots resolved at compile time.  The
+   closures are exact drop-in replacements for [exec_op] — same
+   results, traps, rejoin-digest dance and output, byte for byte (the
+   compile differential tests prove it) — so every execution mode
+   dispatches through them. *)
 
 type opfn = state -> int array -> float array -> unit
 
-(* Placeholder for positions the compiled tiers never dispatch
-   (calls, handled by the loops themselves) and gids outside any
-   block body. *)
+(* Placeholder for positions the closure tier never dispatches
+   (calls, handled by [exec_frames] itself) and gids outside any block
+   body. *)
 let op_unreachable : opfn = fun _ _ _ -> assert false
 
 let gi = function
@@ -1961,224 +1956,12 @@ let compile_op (ci : cinstr) : opfn =
   | Select_int (cond, a, b), DInt (d, _) -> select_int_cl cond a b d
   | Select_f64 (cond, a, b), DFloat d -> select_f64_cl cond a b d
   | Intr_op (intr, args), _ -> intr_cl ci intr args fb
-  | Call_op _, _ -> fb (* the dispatch loops handle calls; never invoked *)
+  | Call_op _, _ -> fb (* [exec_frames] handles calls; never invoked *)
   | _, _ -> fb
 
-(* --- precompiled blocks for the golden-run loop --- *)
+(* --- closure tier --- *)
 
-(* A resolved register-to-register move: phi routes and call binders
-   compile to arrays of these.  For routes both slots index the same
-   frame; for binders the destination indexes the callee frame and the
-   source the caller frame. *)
-type pmove =
-  | MVii of int * int  (* int dest slot <- int src slot *)
-  | MVic of int * int  (* int dest slot <- constant *)
-  | MVff of int * int
-  | MVfc of int * float
-
-type pterm =
-  | PBr of int * int  (* target block, predecessor ordinal *)
-  | PCond of int * int * int * int * int
-      (* cond slot, then-block, then-ord, else-block, else-ord *)
-  | PRet_void
-  | PRet_i of int
-  | PRet_ic of int
-  | PRet_f of int
-  | PRet_fc of float
-
-type pcall = {
-  pc_pos : int;  (* body index of the call instruction *)
-  pc_fidx : int;
-  pc_bind : int array -> float array -> int array -> float array -> unit;
-      (* caller ienv/fenv -> callee ienv/fenv *)
-  pc_dest : dest;
-}
-
-type pblock = {
-  pb_nphis : int;  (* steps charged for the phi prefix *)
-  pb_routes : (int array -> float array -> unit) array;  (* per pred ordinal *)
-  pb_body : opfn array;
-  pb_calls : pcall array;  (* in body order *)
-  pb_term : pterm;
-}
-
-type pfunc = { pf_nslots : int; pf_blocks : pblock array }
-
-type fast = {
-  fa_for : compiled;  (* the program this was compiled from *)
-  fa_ops : opfn array;  (* per-gid closures: the all-modes trial tier *)
-  fa_funcs : pfunc array;
-  fa_main : int;
-}
-
-(* The interpreter evaluates a phi prefix in parallel (all reads
-   before any write) through temporary arrays; this is its exact
-   semantics, kept as the fallback for cyclic move groups. *)
-let par_route (phis : cphi array) prd =
-  let nphis = Array.length phis in
-  fun (ienv : int array) (fenv : float array) ->
-    let tmp_i = Array.make nphis 0 in
-    let tmp_f = Array.make nphis 0.0 in
-    for k = 0 to nphis - 1 do
-      let p = phis.(k) in
-      if Array.length p.psrcs_f > 0 then tmp_f.(k) <- fv fenv p.psrcs_f.(prd)
-      else tmp_i.(k) <- iv ienv p.psrcs_i.(prd)
-    done;
-    for k = 0 to nphis - 1 do
-      match phis.(k).pdest with
-      | DInt (slot, _) -> ienv.(slot) <- tmp_i.(k)
-      | DFloat slot -> fenv.(slot) <- tmp_f.(k)
-      | DNone -> ()
-    done
-
-let seq_route (moves : pmove array) =
-  match moves with
-  | [||] -> fun (_ : int array) (_ : float array) -> ()
-  | [| MVii (d, s) |] ->
-    fun i _ -> Array.unsafe_set i d (Array.unsafe_get i s)
-  | [| MVic (d, c) |] -> fun i _ -> Array.unsafe_set i d c
-  | [| MVff (d, s) |] ->
-    fun _ f -> Array.unsafe_set f d (Array.unsafe_get f s)
-  | [| MVfc (d, c) |] -> fun _ f -> Array.unsafe_set f d c
-  | mv ->
-    fun i f ->
-      for k = 0 to Array.length mv - 1 do
-        match Array.unsafe_get mv k with
-        | MVii (d, s) -> Array.unsafe_set i d (Array.unsafe_get i s)
-        | MVic (d, c) -> Array.unsafe_set i d c
-        | MVff (d, s) -> Array.unsafe_set f d (Array.unsafe_get f s)
-        | MVfc (d, c) -> Array.unsafe_set f d c
-      done
-
-(* Order a parallel move set so plain sequential execution is
-   equivalent: repeatedly emit a move whose destination no other
-   pending move still reads.  Cyclic groups (swap-shaped phis) fall
-   back to the temporary-array dance.  A phi whose source class does
-   not match its destination class writes the zero the interpreter's
-   untouched temporary would supply. *)
-let route_of (phis : cphi array) prd =
-  let moves = ref [] in
-  Array.iter
-    (fun p ->
-      let is_f = Array.length p.psrcs_f > 0 in
-      match p.pdest with
-      | DNone -> ()
-      | DInt (slot, _) ->
-        if is_f then moves := MVic (slot, 0) :: !moves
-        else (
-          match p.psrcs_i.(prd) with
-          | S s -> moves := MVii (slot, s) :: !moves
-          | C c -> moves := MVic (slot, c) :: !moves)
-      | DFloat slot ->
-        if not is_f then moves := MVfc (slot, 0.0) :: !moves
-        else (
-          match p.psrcs_f.(prd) with
-          | FS s -> moves := MVff (slot, s) :: !moves
-          | FC c -> moves := MVfc (slot, c) :: !moves))
-    phis;
-  let pending = ref (List.rev !moves) in
-  let ordered = ref [] in
-  let cyclic = ref false in
-  let blocked m =
-    match m with
-    | MVii (d, _) | MVic (d, _) ->
-      List.exists
-        (fun m' ->
-          m' != m && match m' with MVii (_, s) -> s = d | _ -> false)
-        !pending
-    | MVff (d, _) | MVfc (d, _) ->
-      List.exists
-        (fun m' ->
-          m' != m && match m' with MVff (_, s) -> s = d | _ -> false)
-        !pending
-  in
-  while (not !cyclic) && !pending <> [] do
-    match List.find_opt (fun m -> not (blocked m)) !pending with
-    | Some m ->
-      ordered := m :: !ordered;
-      pending := List.filter (fun m' -> m' != m) !pending
-    | None -> cyclic := true
-  done;
-  if !cyclic then par_route phis prd
-  else seq_route (Array.of_list (List.rev !ordered))
-
-(* Bind call arguments into a fresh callee frame.  The interpreter
-   evaluates every argument in the caller (pure slot/constant reads)
-   and then writes parameter slots — integer arguments always to
-   [ienv], float arguments always to [fenv], as [push_frame] does.  A
-   call with fewer arguments than parameters raises the interpreter's
-   exact out-of-bounds exception. *)
-let compile_bind (params : (int * bool) array) (args : arg array) =
-  if Array.length args < Array.length params then
-    fun (_ : int array) (_ : float array) (_ : int array) (_ : float array) ->
-      invalid_arg "index out of bounds"
-  else
-    let binds =
-      Array.mapi
-        (fun k (slot, _) ->
-          match args.(k) with
-          | AI (S s) -> MVii (slot, s)
-          | AI (C c) -> MVic (slot, c)
-          | AF (FS s) -> MVff (slot, s)
-          | AF (FC c) -> MVfc (slot, c))
-        params
-    in
-    fun (ci : int array) (cf : float array) (ni : int array) (nf : float array) ->
-      for k = 0 to Array.length binds - 1 do
-        match Array.unsafe_get binds k with
-        | MVii (d, s) -> Array.unsafe_set ni d (Array.unsafe_get ci s)
-        | MVic (d, c) -> Array.unsafe_set ni d c
-        | MVff (d, s) -> Array.unsafe_set nf d (Array.unsafe_get cf s)
-        | MVfc (d, c) -> Array.unsafe_set nf d c
-      done
-
-let compile_pblock (c : compiled) (fa_ops : opfn array) (b : cblock) =
-  let npreds =
-    Array.fold_left
-      (fun acc p ->
-        max acc (max (Array.length p.psrcs_i) (Array.length p.psrcs_f)))
-      0 b.phis
-  in
-  let calls = ref [] in
-  Array.iteri
-    (fun k ci ->
-      match ci.op with
-      | Call_op (fidx, args) ->
-        calls :=
-          {
-            pc_pos = k;
-            pc_fidx = fidx;
-            pc_bind = compile_bind c.cfuncs.(fidx).params args;
-            pc_dest = ci.dest;
-          }
-          :: !calls
-      | _ -> ())
-    b.body;
-  let pterm =
-    match b.term with
-    | Tret None -> PRet_void
-    | Tret (Some (AI (S s))) -> PRet_i s
-    | Tret (Some (AI (C c))) -> PRet_ic c
-    | Tret (Some (AF (FS s))) -> PRet_f s
-    | Tret (Some (AF (FC c))) -> PRet_fc c
-    | Tbr (t, ord) -> PBr (t, ord)
-    | Tcond (S s, (t, tord), (f_, ford)) -> PCond (s, t, tord, f_, ford)
-    | Tcond (C c, (t, tord), (f_, ford)) ->
-      if c <> 0 then PBr (t, tord) else PBr (f_, ford)
-  in
-  {
-    pb_nphis = Array.length b.phis;
-    pb_routes = Array.init npreds (fun prd -> route_of b.phis prd);
-    pb_body =
-      Array.map
-        (fun ci ->
-          match ci.op with
-          | Call_op _ -> op_unreachable
-          | _ -> Array.unsafe_get fa_ops ci.gid)
-        b.body;
-    pb_calls = Array.of_list (List.rev !calls);
-    pb_term = pterm;
-  }
+type fast = { fa_ops : opfn array (* per-gid closures, used in every mode *) }
 
 let compile_fast (c : compiled) =
   let fa_ops = Array.make (gid_limit c) op_unreachable in
@@ -2189,19 +1972,7 @@ let compile_fast (c : compiled) =
           Array.iter (fun ci -> fa_ops.(ci.gid) <- compile_op ci) b.body)
         cf.cblocks)
     c.cfuncs;
-  {
-    fa_for = c;
-    fa_ops;
-    fa_funcs =
-      Array.map
-        (fun cf ->
-          {
-            pf_nslots = cf.nslots;
-            pf_blocks = Array.map (compile_pblock c fa_ops) cf.cblocks;
-          })
-        c.cfuncs;
-    fa_main = c.main_index;
-  }
+  { fa_ops }
 
 (* Digest of one frame's live state: function id, control position,
    stack watermark, and the slots in [live] (an encoded set from the
@@ -2556,154 +2327,11 @@ let init_memory (c : compiled) =
   mem
 
 (* Telemetry (lib/obs): a boolean load per completed run / ff trial
-   when disabled — nothing per interpreted instruction, so the
-   BENCH_OBS disabled-path gate holds. *)
+   when disabled — nothing per interpreted instruction. *)
 let m_run_steps = Obs.Metrics.histogram "vm.ir.run_steps"
 let m_ff_trials = Obs.Metrics.counter "vm.ir.ff_trials"
 let m_ff_rebuilds = Obs.Metrics.counter "vm.ir.ff_rebuilds"
 let m_checkpoint_depth = Obs.Metrics.histogram "vm.ir.checkpoint_depth"
-
-(* Callee result slot for the precompiled-block loop: kind 0 = void,
-   1 = int, 2 = float (a frame's return discriminant, matching [ret]).
-   One record per run, reused across every call. *)
-type pret = { mutable pr_k : int; mutable pr_i : int; mutable pr_f : float }
-
-(* The golden-run dispatch loop: native OCaml recursion over
-   precompiled blocks.  Only reachable for unperturbed Plain-mode runs
-   with no trace and no rejoin context, where nothing observable
-   happens between instructions — so phi prefixes batch their step
-   counts, and frames live on the OCaml stack instead of the explicit
-   frame list.  Step accounting, hang-check placement, trap order and
-   the call-depth limit replicate [exec_frames] exactly; the compile
-   differential tests hold this loop to byte-identical stats. *)
-let rec exec_pfunc (fa : fast) st (r : pret) (pf : pfunc) ienv fenv =
-  let saved_sp = st.sp in
-  let blocks = pf.pf_blocks in
-  let bi = ref 0 in
-  let prd = ref 0 in
-  let running = ref true in
-  while !running do
-    let b = Array.unsafe_get blocks !bi in
-    if b.pb_nphis > 0 then begin
-      (Array.unsafe_get b.pb_routes !prd) ienv fenv;
-      st.steps <- st.steps + b.pb_nphis
-    end;
-    if st.steps > st.max_steps then raise Outcome.Hang_limit;
-    let body = b.pb_body in
-    let n = Array.length body in
-    let calls = b.pb_calls in
-    let nc = Array.length calls in
-    if nc = 0 then
-      for k = 0 to n - 1 do
-        st.steps <- st.steps + 1;
-        (Array.unsafe_get body k) st ienv fenv
-      done
-    else begin
-      let ci = ref 0 in
-      let k = ref 0 in
-      while !k < n do
-        let stop =
-          if !ci < nc then (Array.unsafe_get calls !ci).pc_pos else n
-        in
-        while !k < stop do
-          st.steps <- st.steps + 1;
-          (Array.unsafe_get body !k) st ienv fenv;
-          incr k
-        done;
-        if !k < n then begin
-          let call = Array.unsafe_get calls !ci in
-          st.steps <- st.steps + 1;
-          st.depth <- st.depth + 1;
-          if st.depth > max_call_depth then
-            Trap.raise_trap Trap.Stack_overflow;
-          let callee = Array.unsafe_get fa.fa_funcs call.pc_fidx in
-          let ni = Array.make callee.pf_nslots 0 in
-          let nf = Array.make callee.pf_nslots 0.0 in
-          call.pc_bind ienv fenv ni nf;
-          exec_pfunc fa st r callee ni nf;
-          (match call.pc_dest with
-          | DInt (slot, _) ->
-            if r.pr_k = 1 then Array.unsafe_set ienv slot r.pr_i
-          | DFloat slot ->
-            if r.pr_k = 2 then Array.unsafe_set fenv slot r.pr_f
-          | DNone -> ());
-          incr ci;
-          incr k
-        end
-      done
-    end;
-    if st.steps > st.max_steps then raise Outcome.Hang_limit;
-    st.steps <- st.steps + 1;
-    match b.pb_term with
-    | PBr (t, ord) ->
-      bi := t;
-      prd := ord
-    | PCond (s, t, tord, f_, ford) ->
-      if Array.unsafe_get ienv s <> 0 then begin
-        bi := t;
-        prd := tord
-      end
-      else begin
-        bi := f_;
-        prd := ford
-      end
-    | PRet_void ->
-      st.sp <- saved_sp;
-      st.depth <- st.depth - 1;
-      r.pr_k <- 0;
-      running := false
-    | PRet_i s ->
-      st.sp <- saved_sp;
-      st.depth <- st.depth - 1;
-      r.pr_k <- 1;
-      r.pr_i <- Array.unsafe_get ienv s;
-      running := false
-    | PRet_ic c ->
-      st.sp <- saved_sp;
-      st.depth <- st.depth - 1;
-      r.pr_k <- 1;
-      r.pr_i <- c;
-      running := false
-    | PRet_f s ->
-      st.sp <- saved_sp;
-      st.depth <- st.depth - 1;
-      r.pr_k <- 2;
-      r.pr_f <- Array.unsafe_get fenv s;
-      running := false
-    | PRet_fc c ->
-      st.sp <- saved_sp;
-      st.depth <- st.depth - 1;
-      r.pr_k <- 2;
-      r.pr_f <- c;
-      running := false
-  done
-
-let run_plain (fa : fast) st =
-  let outcome =
-    match
-      let pf = Array.unsafe_get fa.fa_funcs fa.fa_main in
-      st.depth <- st.depth + 1;
-      if st.depth > max_call_depth then Trap.raise_trap Trap.Stack_overflow;
-      let ienv = Array.make pf.pf_nslots 0 in
-      let fenv = Array.make pf.pf_nslots 0.0 in
-      exec_pfunc fa st { pr_k = 0; pr_i = 0; pr_f = 0.0 } pf ienv fenv
-    with
-    | () -> Outcome.Finished (Buffer.contents st.out)
-    | exception Trap.Trap t -> Outcome.Crashed t
-    | exception Outcome.Hang_limit -> Outcome.Hung
-    | exception Stack_overflow -> Outcome.Crashed Trap.Stack_overflow
-  in
-  Obs.Metrics.observe m_run_steps st.steps;
-  {
-    Outcome.outcome;
-    steps = st.steps;
-    injected = false;
-    activated = false;
-    fault_note = "";
-    injected_step = -1;
-    fault_site = -1;
-    first_use = First_use.Unone;
-  }
 
 let fops_of = function Some fa -> fa.fa_ops | None -> [||]
 
@@ -2779,14 +2407,8 @@ let run ?plan ?(model = Fault_model.Bitflip) ?(forced_bit = -1) ?(inputs = [||])
       rej = None;
     }
   in
-  match (fast, mode) with
-  | Some fa, Plain
-    when (match trace with None -> true | Some _ -> false)
-         && Array.length c.cfuncs.(c.main_index).params = 0 ->
-    run_plain fa st
-  | _ ->
-    push_frame st c.cfuncs.(c.main_index) [||] None;
-    exec_to_stats ~fops:(fops_of fast) c st
+  push_frame st c.cfuncs.(c.main_index) [||] None;
+  exec_to_stats ~fops:(fops_of fast) c st
 
 (* Fault-space pre-pass: one golden Enumerate-mode run over the cell. *)
 let enumerate ?fast (c : compiled) ~inputs ~inj_mask ~max_steps =

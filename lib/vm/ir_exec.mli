@@ -67,9 +67,8 @@ val trace_push : trace -> int -> int -> unit
 
 type fast
 (** A [compiled] program translated once more into per-instruction
-    closures (operand shapes, widths, destination slots, phi routes,
-    call binders and branch targets resolved at compile time) plus a
-    native-recursion golden-run loop over precompiled blocks.
+    closures (operand shapes, widths and destination slots resolved at
+    compile time), the tier every run mode dispatches through.
     Execution through a [fast] value is bit-for-bit identical to the
     tree-walking interpreter — same outputs, traps, step counts,
     injection draws, activation tracking and rejoin digests — the

@@ -830,31 +830,17 @@ let init_memory (p : Backend.Program.t) =
 
 (* ===== compiled execution tier =====
 
-   [compile] translates a loaded program once into two forms.
-
-   [f_exec] — per-instruction closures with operand shapes, branch
-   targets, addressing modes and flag computation resolved at compile
-   time.  They replicate [exec_insn] bit for bit — every shape without
-   a hand-specialized translation falls back to a closure over
-   [exec_insn] itself — so the generic trial loop can dispatch through
-   them in every mode, keeping injection, activation tracking,
-   fast-forward, enumeration and rejoin digests untouched.
-
-   [f_code] — the same program flattened into threaded code: one
-   8-slot int record per instruction (opcode + pre-resolved operands),
-   executed by [run_flat]'s direct-dispatch loop with the step
-   counter, instruction pointer and flags in locals.  This is the
-   golden-run tier: no closure calls, no bounds checks on operand
-   fetches, exceptions synchronize the machine record exactly where
-   the interpreter would have left it.  Instructions without a flat
-   encoding (division, syscalls, rare operand shapes) get opcode 0 and
-   dispatch through their [f_exec] closure, which keeps [run_flat]
-   total over programs. *)
+   [compile] translates a loaded program once into per-instruction
+   closures with operand shapes, branch targets, addressing modes and
+   flag computation resolved at compile time.  They replicate
+   [exec_insn] bit for bit — every shape without a hand-specialized
+   translation falls back to a closure over [exec_insn] itself — so
+   [run_machine] dispatches through them in every mode, keeping
+   injection, activation tracking, fast-forward, enumeration and rejoin
+   digests untouched. *)
 
 type fast = {
-  f_loaded : loaded;
   f_exec : (machine -> unit) array;  (* per-insn, [exec_insn]-exact *)
-  f_code : int array;  (* flat threaded code, 8 slots per insn *)
 }
 
 (* Branch-free full-width flag computation.  Bit-for-bit equal to
@@ -904,21 +890,6 @@ let[@inline] of_logic_fx r flags =
   let sf = r lsr 62 in
   let pf = pf_even r in
   flags_pack flags ~cf:0 ~pf ~zf ~sf ~ov:0
-
-(* [run_flat] tracks flag state lazily: the kind and operands of the
-   last flag-writing instruction ([k] = 0 packed / 1 sub / 2 add /
-   3 logic), materialized into a packed word only when something needs
-   one (Setcc, ucomisd's incoming flags, an exception synchronizing the
-   machine record, a condition without a direct shortcut).  [pk] is the
-   last packed value; every [of_*_fx] preserves the bits outside the
-   five arithmetic flags, so folding only the final lazy operation over
-   [pk] is exact no matter how many were skipped in between. *)
-let mat_flags k x y r pk =
-  match k with
-  | 0 -> pk
-  | 1 -> of_sub_fx x y r pk
-  | 2 -> of_add_fx x y r pk
-  | _ -> of_logic_fx r pk
 
 (* [Flags.holds c] with the condition's bit algebra resolved at compile
    time. *)
@@ -1275,970 +1246,9 @@ let compile_exec (loaded : loaded) idx (insn : Insn.t) =
   | Insn.Movzx _ | Insn.Movsx _ | Insn.Idiv _ | Insn.Div _ | Insn.Syscall _ ->
     fallback ()
 
-(* Condition numbering shared by the Jcc opcode block and Setcc. *)
-let cond_no : Flags.cond -> int = function
-  | Flags.E -> 0
-  | Flags.NE -> 1
-  | Flags.L -> 2
-  | Flags.GE -> 3
-  | Flags.LE -> 4
-  | Flags.G -> 5
-  | Flags.B -> 6
-  | Flags.AE -> 7
-  | Flags.BE -> 8
-  | Flags.A -> 9
-
-(* Threaded-code encoder: 8 int slots per instruction — an opcode for
-   [run_flat]'s dispatch table, then operands with registers,
-   immediates, addressing components, branch targets, shift amounts
-   and zero/sign-extension masks all pre-resolved.  A general memory
-   operand occupies four slots [base; index; scale; disp] with -1 for
-   an absent base or index register; the common base+disp shape gets
-   dedicated opcodes that skip the index test entirely.  Anything not
-   encoded keeps opcode 0 and runs through its [f_exec] closure. *)
-let flatten (p : Backend.Program.t) =
-  let n = Array.length p.insns in
-  let code = Array.make (n lsl 3) 0 in
-  let emit idx op fs =
-    let o = idx lsl 3 in
-    code.(o) <- op;
-    List.iteri (fun k v -> code.(o + 1 + k) <- v) fs
-  in
-  let ea (mem : Insn.mem) =
-    let b = match mem.Insn.base with Some b -> b | None -> -1 in
-    let i, s =
-      match mem.Insn.index with Some (i, s) -> (i, s) | None -> (-1, 0)
-    in
-    [ b; i; s; mem.Insn.disp ]
-  in
-  let mem_b (mem : Insn.mem) =
-    match (mem.Insn.base, mem.Insn.index) with
-    | Some b, None -> Some (b, mem.Insn.disp)
-    | _ -> None
-  in
-  Array.iteri
-    (fun idx (insn : Insn.t) ->
-      let r = p.resolved.(idx) in
-      match insn with
-      | Insn.Mov (d, Insn.Reg s) -> emit idx 1 [ d; s ]
-      | Insn.Mov (d, Insn.Imm c) -> emit idx 2 [ d; c ]
-      | Insn.Mov (d, Insn.Mem mem)
-      | Insn.Movzx (d, Insn.W64, Insn.Mem mem)
-      | Insn.Movsx (d, Insn.W64, Insn.Mem mem) -> (
-        match mem_b mem with
-        | Some (b, disp) -> emit idx 3 [ d; b; disp ]
-        | None -> emit idx 4 (d :: ea mem))
-      | Insn.Store (Insn.W64, mem, s) -> (
-        match mem_b mem with
-        | Some (b, disp) -> emit idx 5 [ s; b; disp ]
-        | None -> emit idx 6 (s :: ea mem))
-      | Insn.Store_imm (Insn.W64, mem, v) -> (
-        match mem_b mem with
-        | Some (b, disp) -> emit idx 7 [ v; b; disp ]
-        | None -> emit idx 8 (v :: ea mem))
-      | Insn.Store (Insn.W32, mem, s) -> (
-        match mem_b mem with
-        | Some (b, disp) -> emit idx 9 [ s; b; disp ]
-        | None -> emit idx 10 (s :: ea mem))
-      | Insn.Store_imm (Insn.W32, mem, v) ->
-        emit idx 11 ((v land 0xffffffff) :: ea mem)
-      | Insn.Store (Insn.W8, mem, s) -> emit idx 12 (s :: ea mem)
-      | Insn.Store (Insn.W16, mem, s) -> emit idx 13 (s :: ea mem)
-      | Insn.Movzx (d, Insn.W32, Insn.Mem mem) -> (
-        match mem_b mem with
-        | Some (b, disp) -> emit idx 14 [ d; b; disp ]
-        | None -> emit idx 15 (d :: ea mem))
-      | Insn.Movsx (d, Insn.W32, Insn.Mem mem) -> (
-        match mem_b mem with
-        | Some (b, disp) -> emit idx 16 [ d; b; disp ]
-        | None -> emit idx 17 (d :: ea mem))
-      | Insn.Movzx (d, Insn.W8, Insn.Mem mem) -> emit idx 18 (d :: ea mem)
-      | Insn.Movsx (d, Insn.W8, Insn.Mem mem) -> emit idx 19 (d :: ea mem)
-      | Insn.Movzx (d, Insn.W16, Insn.Mem mem) -> emit idx 20 (d :: ea mem)
-      | Insn.Movsx (d, Insn.W16, Insn.Mem mem) -> emit idx 21 (d :: ea mem)
-      | Insn.Lea (d, { Insn.base = Some b; index = None; disp }) ->
-        emit idx 22 [ d; b; disp ]
-      | Insn.Lea (d, mem) -> emit idx 23 (d :: ea mem)
-      | Insn.Alu (op, d, Insn.Reg s) ->
-        emit idx
-          (match op with
-          | Insn.Add -> 24
-          | Insn.Sub -> 27
-          | Insn.And -> 30
-          | Insn.Or -> 33
-          | Insn.Xor -> 36)
-          [ d; s ]
-      | Insn.Alu (op, d, Insn.Imm c) ->
-        emit idx
-          (match op with
-          | Insn.Add -> 25
-          | Insn.Sub -> 28
-          | Insn.And -> 31
-          | Insn.Or -> 34
-          | Insn.Xor -> 37)
-          [ d; c ]
-      | Insn.Alu (op, d, Insn.Mem mem) ->
-        emit idx
-          (match op with
-          | Insn.Add -> 26
-          | Insn.Sub -> 29
-          | Insn.And -> 32
-          | Insn.Or -> 35
-          | Insn.Xor -> 38)
-          (d :: ea mem)
-      | Insn.Imul (d, Insn.Reg s) -> emit idx 39 [ d; s ]
-      | Insn.Imul (d, Insn.Imm c) -> emit idx 40 [ d; c ]
-      | Insn.Imul (d, Insn.Mem mem) -> emit idx 41 (d :: ea mem)
-      | Insn.Imul3 (d, Insn.Reg s, imm) -> emit idx 42 [ d; s; imm ]
-      | Insn.Neg d -> emit idx 43 [ d ]
-      | Insn.Not d -> emit idx 44 [ d ]
-      | Insn.Cqo -> emit idx 45 []
-      | Insn.Shift (op, d, Insn.ShImm a) ->
-        emit idx
-          (match op with Insn.Shl -> 46 | Insn.Shr -> 47 | Insn.Sar -> 48)
-          [ d; a land 63 ]
-      | Insn.Shift (op, d, Insn.ShCl) ->
-        emit idx
-          (match op with Insn.Shl -> 49 | Insn.Shr -> 50 | Insn.Sar -> 51)
-          [ d ]
-      | Insn.Cmp (a, Insn.Reg b) -> emit idx 52 [ a; b ]
-      | Insn.Cmp (a, Insn.Imm c) -> emit idx 53 [ a; c ]
-      | Insn.Cmp (a, Insn.Mem mem) -> emit idx 54 (a :: ea mem)
-      | Insn.Test (a, b) -> emit idx 55 [ a; b ]
-      | Insn.Setcc (c, d) -> emit idx 56 [ cond_no c; d ]
-      | Insn.Jmp _ -> emit idx 57 [ r ]
-      | Insn.Jcc (c, _) -> emit idx (58 + cond_no c) [ r ]
-      | Insn.Call _ ->
-        emit idx 68 [ r; Backend.Program.addr_of_index p (idx + 1) ]
-      | Insn.Ret -> emit idx 69 []
-      | Insn.Push s -> emit idx 70 [ s ]
-      | Insn.Pop d -> emit idx 71 [ d ]
-      | Insn.Movzx (d, ((Insn.W8 | Insn.W16 | Insn.W32) as w), Insn.Reg s) ->
-        emit idx 72 [ d; s; (1 lsl Insn.width_bits w) - 1 ]
-      | Insn.Movsx (d, Insn.W64, Insn.Reg s) -> emit idx 1 [ d; s ]
-      | Insn.Movsx (d, w, Insn.Reg s) ->
-        emit idx 73 [ d; s; 63 - Insn.width_bits w ]
-      | Insn.Movsd (d, Insn.Xreg s) -> emit idx 74 [ d; s ]
-      | Insn.Movsd (d, Insn.Xmem mem) -> (
-        match mem_b mem with
-        | Some (b, disp) -> emit idx 75 [ d; b; disp ]
-        | None -> emit idx 76 (d :: ea mem))
-      | Insn.Store_sd (mem, x) -> (
-        match mem_b mem with
-        | Some (b, disp) -> emit idx 77 [ x; b; disp ]
-        | None -> emit idx 78 (x :: ea mem))
-      | Insn.Sse (op, d, Insn.Xreg s) ->
-        emit idx
-          (match op with
-          | Insn.Addsd -> 79
-          | Insn.Subsd -> 80
-          | Insn.Mulsd -> 81
-          | Insn.Divsd -> 82)
-          [ d; s ]
-      | Insn.Sse (op, d, Insn.Xmem mem) ->
-        emit idx 83
-          ((d :: ea mem)
-          @ [
-              (match op with
-              | Insn.Addsd -> 0
-              | Insn.Subsd -> 1
-              | Insn.Mulsd -> 2
-              | Insn.Divsd -> 3);
-            ])
-      | Insn.Sqrtsd (d, Insn.Xreg s) -> emit idx 84 [ d; s ]
-      | Insn.Sqrtsd (d, Insn.Xmem mem) -> emit idx 85 (d :: ea mem)
-      | Insn.Andpd_abs d -> emit idx 86 [ d ]
-      | Insn.Ucomisd (a, Insn.Xreg b) -> emit idx 87 [ a; b ]
-      | Insn.Ucomisd (a, Insn.Xmem mem) -> emit idx 88 (a :: ea mem)
-      | Insn.Cvtsi2sd (d, Insn.Reg s) -> emit idx 89 [ d; s ]
-      | Insn.Cvttsd2si (d, Insn.Xreg s) -> emit idx 90 [ d; s ]
-      | _ -> ())
-    p.insns;
-  code
-
 let compile (loaded : loaded) =
   let p = loaded.program in
-  let n = Array.length p.insns in
-  let f_exec = Array.init n (fun i -> compile_exec loaded i p.insns.(i)) in
-  { f_loaded = loaded; f_exec; f_code = flatten p }
-
-(* Golden-run dispatch loop over the flat code.  The step counter,
-   instruction pointer and flags word live in locals; any exception —
-   [Halt], [Trap.Trap], [Outcome.Hang_limit], an [f_exec] fallback's
-   [Invalid_argument] — synchronizes them back into the machine record
-   exactly where the interpreter's per-step protocol would have left
-   them (hang raises before [rip] advances; traps raise after).  A
-   Plain machine never pauses, watches, or carries a rejoin context,
-   so this loop is the whole protocol.  Opcode bodies mirror the
-   corresponding [exec_insn] arms with operand shapes resolved; the
-   opcode-0 fallback closures touch neither [steps], [rip] nor [flags]
-   (control flow, division and syscalls are all encoded), so the
-   locals stay authoritative across them. *)
-let run_flat (fast : fast) m =
-  let module A = Array in
-  let p = fast.f_loaded.program in
-  let code = fast.f_code in
-  let fexec = fast.f_exec in
-  let n = A.length fexec in
-  let gp = m.gp and xmm = m.xmm and mem = m.mem in
-  let max_steps = m.max_steps in
-  let tb = Backend.Program.addr_of_index p 0 in
-  let n8 = n lsl 3 in
-  let halt = Backend.Program.halt_addr p in
-  let zb = Flags.zf_bit and sb = Flags.sf_bit in
-  let ob = Flags.of_bit and cb = Flags.cf_bit in
-  let steps = ref m.steps in
-  let rip = ref m.rip in
-  let fk = ref 0 and fx = ref 0 and fy = ref 0 and fr = ref 0 in
-  let fpk = ref m.flags in
-  try
-    while true do
-      let idx = !rip in
-      if idx < 0 || idx >= n then
-        Trap.raise_trap
-          (Trap.Invalid_jump (Backend.Program.addr_of_index p idx));
-      steps := !steps + 1;
-      if !steps > max_steps then raise Outcome.Hang_limit;
-      rip := idx + 1;
-      let o = idx lsl 3 in
-      match A.unsafe_get code o with
-      | 0 -> (A.unsafe_get fexec idx) m
-      | 1 (* mov r, r *) ->
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          (A.unsafe_get gp (A.unsafe_get code (o + 2)))
-      | 2 (* mov r, imm *) ->
-        A.unsafe_set gp (A.unsafe_get code (o + 1)) (A.unsafe_get code (o + 2))
-      | 3 (* mov r, [b+d] *) ->
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          (Memory.read_word_fast mem
-             (A.unsafe_get gp (A.unsafe_get code (o + 2))
-             + A.unsafe_get code (o + 3)))
-      | 4 (* mov r, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          (Memory.read_word_fast mem ea)
-      | 5 (* mov [b+d], r *) ->
-        Memory.write_word_fast mem
-          (A.unsafe_get gp (A.unsafe_get code (o + 2))
-          + A.unsafe_get code (o + 3))
-          (A.unsafe_get gp (A.unsafe_get code (o + 1)))
-      | 6 (* mov [ea], r *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        Memory.write_word_fast mem ea
-          (A.unsafe_get gp (A.unsafe_get code (o + 1)))
-      | 7 (* mov [b+d], imm *) ->
-        Memory.write_word_fast mem
-          (A.unsafe_get gp (A.unsafe_get code (o + 2))
-          + A.unsafe_get code (o + 3))
-          (A.unsafe_get code (o + 1))
-      | 8 (* mov [ea], imm *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        Memory.write_word_fast mem ea (A.unsafe_get code (o + 1))
-      | 9 (* mov dword [b+d], r *) ->
-        Memory.write_u32_fast mem
-          (A.unsafe_get gp (A.unsafe_get code (o + 2))
-          + A.unsafe_get code (o + 3))
-          (A.unsafe_get gp (A.unsafe_get code (o + 1)) land 0xffffffff)
-      | 10 (* mov dword [ea], r *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        Memory.write_u32_fast mem ea
-          (A.unsafe_get gp (A.unsafe_get code (o + 1)) land 0xffffffff)
-      | 11 (* mov dword [ea], imm *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        Memory.write_u32_fast mem ea (A.unsafe_get code (o + 1))
-      | 12 (* mov byte [ea], r *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        Memory.write_u8_fast mem ea
-          (A.unsafe_get gp (A.unsafe_get code (o + 1)) land 0xff)
-      | 13 (* mov word [ea], r *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        Memory.write_u16_fast mem ea
-          (A.unsafe_get gp (A.unsafe_get code (o + 1)) land 0xffff)
-      | 14 (* movzx r, dword [b+d] *) ->
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          (Memory.read_u32_fast mem
-             (A.unsafe_get gp (A.unsafe_get code (o + 2))
-             + A.unsafe_get code (o + 3)))
-      | 15 (* movzx r, dword [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          (Memory.read_u32_fast mem ea)
-      | 16 (* movsx r, dword [b+d] *) ->
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          ((Memory.read_u32_fast mem
-              (A.unsafe_get gp (A.unsafe_get code (o + 2))
-              + A.unsafe_get code (o + 3))
-            lsl 31)
-          asr 31)
-      | 17 (* movsx r, dword [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          ((Memory.read_u32_fast mem ea lsl 31) asr 31)
-      | 18 (* movzx r, byte [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        A.unsafe_set gp (A.unsafe_get code (o + 1)) (Memory.read_u8_fast mem ea)
-      | 19 (* movsx r, byte [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          ((Memory.read_u8_fast mem ea lsl 55) asr 55)
-      | 20 (* movzx r, word [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          (Memory.read_u16_fast mem ea)
-      | 21 (* movsx r, word [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          ((Memory.read_u16_fast mem ea lsl 47) asr 47)
-      | 22 (* lea r, [b+d] *) ->
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          (A.unsafe_get gp (A.unsafe_get code (o + 2))
-          + A.unsafe_get code (o + 3))
-      | 23 (* lea r, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        A.unsafe_set gp (A.unsafe_get code (o + 1)) ea
-      | 24 (* add r, r *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let x = A.unsafe_get gp d
-        and y = A.unsafe_get gp (A.unsafe_get code (o + 2)) in
-        let rr = x + y in
-        fk := 2;
-        fx := x;
-        fy := y;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 25 (* add r, imm *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let x = A.unsafe_get gp d and y = A.unsafe_get code (o + 2) in
-        let rr = x + y in
-        fk := 2;
-        fx := x;
-        fy := y;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 26 (* add r, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        let d = A.unsafe_get code (o + 1) in
-        let x = A.unsafe_get gp d and y = Memory.read_word_fast mem ea in
-        let rr = x + y in
-        fk := 2;
-        fx := x;
-        fy := y;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 27 (* sub r, r *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let x = A.unsafe_get gp d
-        and y = A.unsafe_get gp (A.unsafe_get code (o + 2)) in
-        let rr = x - y in
-        fk := 1;
-        fx := x;
-        fy := y;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 28 (* sub r, imm *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let x = A.unsafe_get gp d and y = A.unsafe_get code (o + 2) in
-        let rr = x - y in
-        fk := 1;
-        fx := x;
-        fy := y;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 29 (* sub r, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        let d = A.unsafe_get code (o + 1) in
-        let x = A.unsafe_get gp d and y = Memory.read_word_fast mem ea in
-        let rr = x - y in
-        fk := 1;
-        fx := x;
-        fy := y;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 30 (* and r, r *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let rr =
-          A.unsafe_get gp d land A.unsafe_get gp (A.unsafe_get code (o + 2))
-        in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 31 (* and r, imm *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let rr = A.unsafe_get gp d land A.unsafe_get code (o + 2) in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 32 (* and r, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        let d = A.unsafe_get code (o + 1) in
-        let rr = A.unsafe_get gp d land Memory.read_word_fast mem ea in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 33 (* or r, r *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let rr =
-          A.unsafe_get gp d lor A.unsafe_get gp (A.unsafe_get code (o + 2))
-        in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 34 (* or r, imm *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let rr = A.unsafe_get gp d lor A.unsafe_get code (o + 2) in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 35 (* or r, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        let d = A.unsafe_get code (o + 1) in
-        let rr = A.unsafe_get gp d lor Memory.read_word_fast mem ea in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 36 (* xor r, r *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let rr =
-          A.unsafe_get gp d lxor A.unsafe_get gp (A.unsafe_get code (o + 2))
-        in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 37 (* xor r, imm *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let rr = A.unsafe_get gp d lxor A.unsafe_get code (o + 2) in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 38 (* xor r, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        let d = A.unsafe_get code (o + 1) in
-        let rr = A.unsafe_get gp d lxor Memory.read_word_fast mem ea in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 39 (* imul r, r *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let rr =
-          A.unsafe_get gp d * A.unsafe_get gp (A.unsafe_get code (o + 2))
-        in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 40 (* imul r, imm *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let rr = A.unsafe_get gp d * A.unsafe_get code (o + 2) in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 41 (* imul r, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        let d = A.unsafe_get code (o + 1) in
-        let rr = A.unsafe_get gp d * Memory.read_word_fast mem ea in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 42 (* imul r, r, imm *) ->
-        let rr =
-          A.unsafe_get gp (A.unsafe_get code (o + 2))
-          * A.unsafe_get code (o + 3)
-        in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp (A.unsafe_get code (o + 1)) rr
-      | 43 (* neg r *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let x = A.unsafe_get gp d in
-        let rr = -x in
-        fk := 1;
-        fx := 0;
-        fy := x;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 44 (* not r *) ->
-        let d = A.unsafe_get code (o + 1) in
-        A.unsafe_set gp d (lnot (A.unsafe_get gp d))
-      | 45 (* cqo *) ->
-        A.unsafe_set gp Reg.rdx (if A.unsafe_get gp Reg.rax < 0 then -1 else 0)
-      | 46 (* shl r, imm *) ->
-        let d = A.unsafe_get code (o + 1) and a = A.unsafe_get code (o + 2) in
-        let rr = if a >= 63 then 0 else A.unsafe_get gp d lsl a in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 47 (* shr r, imm *) ->
-        let d = A.unsafe_get code (o + 1) and a = A.unsafe_get code (o + 2) in
-        let rr = if a >= 63 then 0 else A.unsafe_get gp d lsr a in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 48 (* sar r, imm *) ->
-        let d = A.unsafe_get code (o + 1) and a = A.unsafe_get code (o + 2) in
-        let x = A.unsafe_get gp d in
-        let rr = if a >= 63 then x asr 62 else x asr a in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 49 (* shl r, cl *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let a = A.unsafe_get gp Reg.rcx land 63 in
-        let rr = if a >= 63 then 0 else A.unsafe_get gp d lsl a in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 50 (* shr r, cl *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let a = A.unsafe_get gp Reg.rcx land 63 in
-        let rr = if a >= 63 then 0 else A.unsafe_get gp d lsr a in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 51 (* sar r, cl *) ->
-        let d = A.unsafe_get code (o + 1) in
-        let a = A.unsafe_get gp Reg.rcx land 63 in
-        let x = A.unsafe_get gp d in
-        let rr = if a >= 63 then x asr 62 else x asr a in
-        fk := 3;
-        fr := rr;
-        A.unsafe_set gp d rr
-      | 52 (* cmp r, r *) ->
-        let x = A.unsafe_get gp (A.unsafe_get code (o + 1))
-        and y = A.unsafe_get gp (A.unsafe_get code (o + 2)) in
-        fk := 1;
-        fx := x;
-        fy := y;
-        fr := x - y
-      | 53 (* cmp r, imm *) ->
-        let x = A.unsafe_get gp (A.unsafe_get code (o + 1))
-        and y = A.unsafe_get code (o + 2) in
-        fk := 1;
-        fx := x;
-        fy := y;
-        fr := x - y
-      | 54 (* cmp r, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        let x = A.unsafe_get gp (A.unsafe_get code (o + 1))
-        and y = Memory.read_word_fast mem ea in
-        fk := 1;
-        fx := x;
-        fy := y;
-        fr := x - y
-      | 55 (* test r, r *) ->
-        let rr =
-          A.unsafe_get gp (A.unsafe_get code (o + 1))
-          land A.unsafe_get gp (A.unsafe_get code (o + 2))
-        in
-        fk := 3;
-        fr := rr
-      | 56 (* setcc *) ->
-        let f = mat_flags !fk !fx !fy !fr !fpk in
-        fpk := f;
-        fk := 0;
-        let v =
-          match A.unsafe_get code (o + 1) with
-          | 0 -> (f lsr zb) land 1
-          | 1 -> 1 - ((f lsr zb) land 1)
-          | 2 -> ((f lsr sb) lxor (f lsr ob)) land 1
-          | 3 -> 1 - (((f lsr sb) lxor (f lsr ob)) land 1)
-          | 4 -> ((f lsr zb) lor ((f lsr sb) lxor (f lsr ob))) land 1
-          | 5 -> 1 - (((f lsr zb) lor ((f lsr sb) lxor (f lsr ob))) land 1)
-          | 6 -> (f lsr cb) land 1
-          | 7 -> 1 - ((f lsr cb) land 1)
-          | 8 -> ((f lsr cb) lor (f lsr zb)) land 1
-          | _ -> 1 - (((f lsr cb) lor (f lsr zb)) land 1)
-        in
-        A.unsafe_set gp (A.unsafe_get code (o + 2)) v
-      | 57 (* jmp *) -> rip := A.unsafe_get code (o + 1)
-      | 58 (* je *) ->
-        if (if !fk = 0 then (!fpk lsr zb) land 1 = 1 else !fr = 0) then
-          rip := A.unsafe_get code (o + 1)
-      | 59 (* jne *) ->
-        if (if !fk = 0 then (!fpk lsr zb) land 1 = 0 else !fr <> 0) then
-          rip := A.unsafe_get code (o + 1)
-      | 60 (* jl *) ->
-        let t =
-          match !fk with
-          | 1 -> !fx < !fy
-          | 3 -> !fr < 0
-          | 0 -> ((!fpk lsr sb) lxor (!fpk lsr ob)) land 1 = 1
-          | _ ->
-            let f = of_add_fx !fx !fy !fr !fpk in
-            fpk := f;
-            fk := 0;
-            ((f lsr sb) lxor (f lsr ob)) land 1 = 1
-        in
-        if t then rip := A.unsafe_get code (o + 1)
-      | 61 (* jge *) ->
-        let t =
-          match !fk with
-          | 1 -> !fx >= !fy
-          | 3 -> !fr >= 0
-          | 0 -> ((!fpk lsr sb) lxor (!fpk lsr ob)) land 1 = 0
-          | _ ->
-            let f = of_add_fx !fx !fy !fr !fpk in
-            fpk := f;
-            fk := 0;
-            ((f lsr sb) lxor (f lsr ob)) land 1 = 0
-        in
-        if t then rip := A.unsafe_get code (o + 1)
-      | 62 (* jle *) ->
-        let t =
-          match !fk with
-          | 1 -> !fx <= !fy
-          | 3 -> !fr <= 0
-          | 0 ->
-            ((!fpk lsr zb) lor ((!fpk lsr sb) lxor (!fpk lsr ob))) land 1 = 1
-          | _ ->
-            let f = of_add_fx !fx !fy !fr !fpk in
-            fpk := f;
-            fk := 0;
-            ((f lsr zb) lor ((f lsr sb) lxor (f lsr ob))) land 1 = 1
-        in
-        if t then rip := A.unsafe_get code (o + 1)
-      | 63 (* jg *) ->
-        let t =
-          match !fk with
-          | 1 -> !fx > !fy
-          | 3 -> !fr > 0
-          | 0 ->
-            ((!fpk lsr zb) lor ((!fpk lsr sb) lxor (!fpk lsr ob))) land 1 = 0
-          | _ ->
-            let f = of_add_fx !fx !fy !fr !fpk in
-            fpk := f;
-            fk := 0;
-            ((f lsr zb) lor ((f lsr sb) lxor (f lsr ob))) land 1 = 0
-        in
-        if t then rip := A.unsafe_get code (o + 1)
-      | 64 (* jb *) ->
-        let t =
-          match !fk with
-          | 1 -> !fx lxor min_int < !fy lxor min_int
-          | 3 -> false
-          | 0 -> (!fpk lsr cb) land 1 = 1
-          | _ -> !fr lxor min_int < !fx lxor min_int && !fy <> 0
-        in
-        if t then rip := A.unsafe_get code (o + 1)
-      | 65 (* jae *) ->
-        let t =
-          match !fk with
-          | 1 -> !fx lxor min_int >= !fy lxor min_int
-          | 3 -> true
-          | 0 -> (!fpk lsr cb) land 1 = 0
-          | _ -> not (!fr lxor min_int < !fx lxor min_int && !fy <> 0)
-        in
-        if t then rip := A.unsafe_get code (o + 1)
-      | 66 (* jbe *) ->
-        let t =
-          match !fk with
-          | 1 -> !fx lxor min_int <= !fy lxor min_int
-          | 3 -> !fr = 0
-          | 0 -> ((!fpk lsr cb) lor (!fpk lsr zb)) land 1 = 1
-          | _ -> (!fr lxor min_int < !fx lxor min_int && !fy <> 0) || !fr = 0
-        in
-        if t then rip := A.unsafe_get code (o + 1)
-      | 67 (* ja *) ->
-        let t =
-          match !fk with
-          | 1 -> !fx lxor min_int > !fy lxor min_int
-          | 3 -> !fr <> 0
-          | 0 -> ((!fpk lsr cb) lor (!fpk lsr zb)) land 1 = 0
-          | _ ->
-            not ((!fr lxor min_int < !fx lxor min_int && !fy <> 0) || !fr = 0)
-        in
-        if t then rip := A.unsafe_get code (o + 1)
-      | 68 (* call *) ->
-        let sp = A.unsafe_get gp Reg.rsp - 8 in
-        A.unsafe_set gp Reg.rsp sp;
-        Memory.write_word_fast mem sp (A.unsafe_get code (o + 2));
-        rip := A.unsafe_get code (o + 1)
-      | 69 (* ret *) ->
-        let sp = A.unsafe_get gp Reg.rsp in
-        let addr = Memory.read_word_fast mem sp in
-        A.unsafe_set gp Reg.rsp (sp + 8);
-        if addr = halt then raise Halt
-        else
-          let k = addr - tb in
-          if k >= 0 && k < n8 && k land 7 = 0 then rip := k asr 3
-          else Trap.raise_trap (Trap.Invalid_jump addr)
-      | 70 (* push r *) ->
-        let v = A.unsafe_get gp (A.unsafe_get code (o + 1)) in
-        let sp = A.unsafe_get gp Reg.rsp - 8 in
-        A.unsafe_set gp Reg.rsp sp;
-        Memory.write_word_fast mem sp v
-      | 71 (* pop r *) ->
-        let sp = A.unsafe_get gp Reg.rsp in
-        let v = Memory.read_word_fast mem sp in
-        A.unsafe_set gp Reg.rsp (sp + 8);
-        A.unsafe_set gp (A.unsafe_get code (o + 1)) v
-      | 72 (* movzx r, r *) ->
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          (A.unsafe_get gp (A.unsafe_get code (o + 2))
-          land A.unsafe_get code (o + 3))
-      | 73 (* movsx r, r *) ->
-        let sh = A.unsafe_get code (o + 3) in
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          ((A.unsafe_get gp (A.unsafe_get code (o + 2)) lsl sh) asr sh)
-      | 74 (* movsd x, x *) ->
-        A.unsafe_set xmm
-          (A.unsafe_get code (o + 1))
-          (A.unsafe_get xmm (A.unsafe_get code (o + 2)))
-      | 75 (* movsd x, [b+d] *) ->
-        A.unsafe_set xmm
-          (A.unsafe_get code (o + 1))
-          (Memory.read_f64_fast mem
-             (A.unsafe_get gp (A.unsafe_get code (o + 2))
-             + A.unsafe_get code (o + 3)))
-      | 76 (* movsd x, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        A.unsafe_set xmm
-          (A.unsafe_get code (o + 1))
-          (Memory.read_f64_fast mem ea)
-      | 77 (* movsd [b+d], x *) ->
-        Memory.write_f64_fast mem
-          (A.unsafe_get gp (A.unsafe_get code (o + 2))
-          + A.unsafe_get code (o + 3))
-          (A.unsafe_get xmm (A.unsafe_get code (o + 1)))
-      | 78 (* movsd [ea], x *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        Memory.write_f64_fast mem ea
-          (A.unsafe_get xmm (A.unsafe_get code (o + 1)))
-      | 79 (* addsd x, x *) ->
-        let d = A.unsafe_get code (o + 1) in
-        A.unsafe_set xmm d
-          (A.unsafe_get xmm d +. A.unsafe_get xmm (A.unsafe_get code (o + 2)))
-      | 80 (* subsd x, x *) ->
-        let d = A.unsafe_get code (o + 1) in
-        A.unsafe_set xmm d
-          (A.unsafe_get xmm d -. A.unsafe_get xmm (A.unsafe_get code (o + 2)))
-      | 81 (* mulsd x, x *) ->
-        let d = A.unsafe_get code (o + 1) in
-        A.unsafe_set xmm d
-          (A.unsafe_get xmm d *. A.unsafe_get xmm (A.unsafe_get code (o + 2)))
-      | 82 (* divsd x, x *) ->
-        let d = A.unsafe_get code (o + 1) in
-        A.unsafe_set xmm d
-          (A.unsafe_get xmm d /. A.unsafe_get xmm (A.unsafe_get code (o + 2)))
-      | 83 (* addsd/subsd/mulsd/divsd x, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        let d = A.unsafe_get code (o + 1) in
-        let x = A.unsafe_get xmm d and y = Memory.read_f64_fast mem ea in
-        A.unsafe_set xmm d
-          (match A.unsafe_get code (o + 6) with
-          | 0 -> x +. y
-          | 1 -> x -. y
-          | 2 -> x *. y
-          | _ -> x /. y)
-      | 84 (* sqrtsd x, x *) ->
-        A.unsafe_set xmm
-          (A.unsafe_get code (o + 1))
-          (sqrt (A.unsafe_get xmm (A.unsafe_get code (o + 2))))
-      | 85 (* sqrtsd x, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        A.unsafe_set xmm
-          (A.unsafe_get code (o + 1))
-          (sqrt (Memory.read_f64_fast mem ea))
-      | 86 (* andpd abs *) ->
-        let d = A.unsafe_get code (o + 1) in
-        A.unsafe_set xmm d (abs_float (A.unsafe_get xmm d))
-      | 87 (* ucomisd x, x *) ->
-        fpk :=
-          Flags.of_ucomisd
-            (A.unsafe_get xmm (A.unsafe_get code (o + 1)))
-            (A.unsafe_get xmm (A.unsafe_get code (o + 2)))
-            (mat_flags !fk !fx !fy !fr !fpk);
-        fk := 0
-      | 88 (* ucomisd x, [ea] *) ->
-        let b = A.unsafe_get code (o + 2) and i = A.unsafe_get code (o + 3) in
-        let ea =
-          (if b >= 0 then A.unsafe_get gp b else 0)
-          + (if i >= 0 then A.unsafe_get gp i * A.unsafe_get code (o + 4)
-             else 0)
-          + A.unsafe_get code (o + 5)
-        in
-        fpk :=
-          Flags.of_ucomisd
-            (A.unsafe_get xmm (A.unsafe_get code (o + 1)))
-            (Memory.read_f64_fast mem ea)
-            (mat_flags !fk !fx !fy !fr !fpk);
-        fk := 0
-      | 89 (* cvtsi2sd x, r *) ->
-        A.unsafe_set xmm
-          (A.unsafe_get code (o + 1))
-          (float_of_int (A.unsafe_get gp (A.unsafe_get code (o + 2))))
-      | 90 (* cvttsd2si r, x *) ->
-        A.unsafe_set gp
-          (A.unsafe_get code (o + 1))
-          (fptosi_truncate (A.unsafe_get xmm (A.unsafe_get code (o + 2))))
-      | _ -> assert false
-    done
-  with e ->
-    m.steps <- !steps;
-    m.rip <- !rip;
-    m.flags <- mat_flags !fk !fx !fy !fr !fpk;
-    raise e
+  { f_exec = Array.mapi (compile_exec loaded) p.insns }
 
 (* Pre-exec half of the memory delta: stash the write site and hash its
    cells' current contents.  The address must come from the pre-exec
@@ -2333,12 +1343,6 @@ let rejoin_post m rj pre =
    the pending instruction has executed).  All other exits are
    exceptions: [Halt], [Trap.Trap], [Outcome.Hang_limit]. *)
 let run_machine ?fast (loaded : loaded) m =
-  match fast with
-  | Some f when (match m.mode with Plain -> true | _ -> false) && m.rej = None
-    ->
-    (* Golden run with no digest maintenance: the flat threaded code. *)
-    run_flat f m
-  | _ ->
   let cexec = match fast with Some f -> f.f_exec | None -> [||] in
   let use_c = Array.length cexec > 0 in
   let p = loaded.program in
@@ -2407,12 +1411,7 @@ let finish_machine ?fast (loaded : loaded) m =
       assert false
     with
     | Halt -> Outcome.Finished (Buffer.contents m.out)
-    | Trap.Trap t ->
-      if Sys.getenv_opt "FI_DEBUG_TRAP" <> None then
-        Printf.eprintf "[trap] %s at rip=%d: %s\n%!" (Trap.to_string t)
-          (m.rip - 1)
-          (X86.Printer.insn_to_string loaded.program.insns.(max 0 (m.rip - 1)));
-      Outcome.Crashed t
+    | Trap.Trap t -> Outcome.Crashed t
     | Outcome.Hang_limit -> Outcome.Hung
   in
   Obs.Metrics.observe m_run_steps m.steps;

@@ -51,13 +51,12 @@ val primary_dest : X86.Insn.t -> dest
 type fast
 (** A [loaded] program compiled once into per-instruction closures
     (operand shapes, addressing modes, branch targets and flag algebra
-    resolved at compile time) plus flattened threaded code with a
-    direct-dispatch golden-run loop.  Execution through a [fast] value
-    is bit-for-bit
-    identical to the tree-walking interpreter — same outputs, traps,
-    step counts, injection draws, activation tracking and rejoin
-    digests — the compile differential tests prove it.  Immutable once
-    built, and safe to share across domains like [loaded] itself. *)
+    resolved at compile time), the tier every run mode dispatches
+    through.  Execution through a [fast] value is bit-for-bit identical
+    to the tree-walking interpreter — same outputs, traps, step counts,
+    injection draws, activation tracking and rejoin digests — the
+    compile differential tests prove it.  Immutable once built, and
+    safe to share across domains like [loaded] itself. *)
 
 val compile : loaded -> fast
 (** One-time translation; O(program size). *)

@@ -38,7 +38,10 @@ let prepare_both (w : Core.Workload.t) =
   let pi = Core.Pinfi.prepare ~compile:false ~inputs:w.Core.Workload.inputs asm in
   ((lc, li), (pc, pi))
 
-(* --- golden + profile identity, all six workloads, both levels --- *)
+(* --- golden + profile identity, all six workloads, both levels ---
+
+   Also pins prepare to a single fault-free VM run per level: the
+   profiling run doubles as the golden run. *)
 
 let test_golden_identity () =
   List.iter
@@ -73,8 +76,51 @@ let test_golden_identity () =
            pi.Core.Pinfi.dynamic_counts)
         (List.map
            (fun (c, n) -> (Core.Category.name c, n))
-           pc.Core.Pinfi.dynamic_counts))
-    Workloads.all
+           pc.Core.Pinfi.dynamic_counts);
+      (* prepare takes its golden output and steps from the profiling
+         run; a standalone plain run must agree with it *)
+      let finished (s : Vm.Outcome.stats) =
+        match s.Vm.Outcome.outcome with
+        | Vm.Outcome.Finished out -> out
+        | _ -> Alcotest.failf "%s: plain run did not finish" w.name
+      in
+      let lp =
+        Vm.Ir_exec.run ~inputs:li.Core.Llfi.inputs li.Core.Llfi.compiled
+      in
+      Alcotest.(check string)
+        (w.name ^ ": llfi golden output = plain run")
+        (finished lp) lc.Core.Llfi.golden_output;
+      Alcotest.(check int)
+        (w.name ^ ": llfi golden steps = plain run")
+        lp.Vm.Outcome.steps lc.Core.Llfi.golden_steps;
+      let pp =
+        Vm.X86_exec.run ~inputs:pi.Core.Pinfi.inputs pi.Core.Pinfi.loaded
+      in
+      Alcotest.(check string)
+        (w.name ^ ": pinfi golden output = plain run")
+        (finished pp) pc.Core.Pinfi.golden_output;
+      Alcotest.(check int)
+        (w.name ^ ": pinfi golden steps = plain run")
+        pp.Vm.Outcome.steps pc.Core.Pinfi.golden_steps)
+    Workloads.all;
+  (* one VM execution per prepare: each run observes [run_steps] once *)
+  let w = Workloads.find_exn "mcf" in
+  let prog = Opt.optimize (Minic.compile w.Core.Workload.source) in
+  let asm = Backend.compile prog in
+  let observations name =
+    match List.assoc_opt name (Obs.Metrics.snapshot ()) with
+    | Some (Obs.Metrics.Histo { count; _ }) -> count
+    | _ -> Alcotest.failf "metric %s missing" name
+  in
+  Fun.protect ~finally:Obs.Metrics.reset (fun () ->
+      Obs.Metrics.reset ();
+      Obs.Metrics.enable ();
+      ignore (Core.Llfi.prepare ~inputs:w.Core.Workload.inputs prog);
+      Alcotest.(check int) "Llfi.prepare runs the VM once" 1
+        (observations "vm.ir.run_steps");
+      ignore (Core.Pinfi.prepare ~inputs:w.Core.Workload.inputs asm);
+      Alcotest.(check int) "Pinfi.prepare runs the VM once" 1
+        (observations "vm.x86.run_steps"))
 
 (* --- injected trials, every workload x level x category --- *)
 
