@@ -132,28 +132,11 @@ let trials_arg default =
     & info [ "n"; "trials" ] ~docv:"N"
         ~doc:"Fault injections per benchmark x tool x category cell.")
 
-let config_of ?(no_snapshot = false) ?(no_compile = false)
-    ?(model = Core.Fault_model.Bitflip) ~trials ~seed () =
-  {
-    Core.Campaign.default_config with
-    trials;
-    seed;
-    model;
-    snapshot = not no_snapshot;
-    compile = not no_compile;
-  }
+let config_of ?(no_compile = false) ?(model = Core.Fault_model.Bitflip)
+    ~trials ~seed () =
+  { Core.Campaign.default_config with trials; seed; model; compile = not no_compile }
 
 (* --- execution-engine flags (campaign, inject) --- *)
-
-let no_snapshot_arg =
-  Arg.(
-    value & flag
-    & info [ "no-snapshot" ]
-        ~doc:
-          "Disable the snapshot/fast-forward executor and re-run every \
-           trial from instruction 0.  Results are byte-identical either \
-           way; this is the reference path, kept as an escape hatch and \
-           benchmarking baseline.")
 
 let no_compile_arg =
   Arg.(
@@ -347,9 +330,10 @@ let run_cmd =
     let prog = Opt.optimize (Minic.compile w.source) in
     let stats =
       match level with
-      | `Ir -> Vm.Ir_exec.run ~inputs:w.inputs (Vm.Ir_exec.compile prog)
+      | `Ir -> Vm.Ir_exec.run ~inputs:w.inputs Golden (Vm.Ir_exec.compile prog)
       | `Asm ->
-        Vm.X86_exec.run ~inputs:w.inputs (Vm.X86_exec.load (Backend.compile prog))
+        Vm.X86_exec.run ~inputs:w.inputs Golden
+          (Vm.X86_exec.load (Backend.compile prog))
     in
     (match stats.Vm.Outcome.outcome with
     | Vm.Outcome.Finished out -> print_string out
@@ -406,11 +390,11 @@ let profile_cmd =
 
 let inject_cmd =
   let run (w : Core.Workload.t) tool category model trials seed functions jobs
-      journal resume no_snapshot no_compile obs =
+      journal resume no_compile obs =
     match check_engine_flags ~journal ~resume with
     | `Error _ as e -> e
     | `Ok () ->
-    let config = config_of ~no_snapshot ~no_compile ~model ~trials ~seed () in
+    let config = config_of ~no_compile ~model ~trials ~seed () in
     let config =
       match functions with
       | [] -> config
@@ -436,7 +420,6 @@ let inject_cmd =
           ("seed", Obs.Json.Int seed);
           ("trials", Obs.Json.Int trials);
           ("jobs", Obs.Json.Int (resolve_jobs jobs));
-          ("snapshot", Obs.Json.Bool (not no_snapshot));
           ("compile", Obs.Json.Bool (not no_compile));
         ]
     in
@@ -496,7 +479,7 @@ let inject_cmd =
       ret
         (const run $ workload_arg $ tool_arg $ cat_arg $ model_arg
        $ trials_arg 200 $ seed_arg $ functions_arg $ jobs_arg $ journal_arg
-       $ resume_arg $ no_snapshot_arg $ no_compile_arg
+       $ resume_arg $ no_compile_arg
        $ obs_term ~manifest_default:None))
 
 (* --- propagate --- *)
@@ -561,8 +544,7 @@ let check_cmd =
           (List.length prog.Ir.Prog.globals);
         if execute then begin
           let stats =
-            Vm.Ir_exec.run
-              ~inputs:(Array.of_list inputs)
+            Vm.Ir_exec.run ~inputs:(Array.of_list inputs) Golden
               (Vm.Ir_exec.compile prog)
           in
           match stats.Vm.Outcome.outcome with
@@ -648,12 +630,12 @@ let records_arg =
 
 let campaign_cmd =
   let run model trials seed csv_file workload_filter jobs journal resume
-      records no_snapshot no_compile obs =
+      records no_compile obs =
     match check_engine_flags ~journal ~resume with
     | `Error _ as e -> e
     | `Ok () ->
     let jobs = resolve_jobs jobs in
-    let config = config_of ~no_snapshot ~no_compile ~model ~trials ~seed () in
+    let config = config_of ~no_compile ~model ~trials ~seed () in
     let workloads =
       match workload_filter with
       | [] -> Workloads.all
@@ -666,7 +648,6 @@ let campaign_cmd =
           ("trials", Obs.Json.Int trials);
           ("model", Obs.Json.Str (Core.Fault_model.name model));
           ("jobs", Obs.Json.Int jobs);
-          ("snapshot", Obs.Json.Bool (not no_snapshot));
           ("compile", Obs.Json.Bool (not no_compile));
           ("journal", Obs.Json.Bool (journal <> None));
           ("records", Obs.Json.Bool (records <> None));
@@ -744,14 +725,14 @@ let campaign_cmd =
       ret
         (const run $ model_arg $ trials_arg 200 $ seed_arg $ csv_arg
        $ filter_arg $ jobs_arg $ journal_arg $ resume_arg $ records_arg
-       $ no_snapshot_arg $ no_compile_arg
+       $ no_compile_arg
        $ obs_term ~manifest_default:(Some "fi-manifest.json")))
 
 (* --- diagnose --- *)
 
 let diagnose_cmd =
   let run workload_filter tools categories model trials seed from records
-      csv_file jobs no_snapshot no_compile obs =
+      csv_file jobs no_compile obs =
     match from with
     | Some path -> (
       (* Consume an existing record file instead of running anything. *)
@@ -761,7 +742,7 @@ let diagnose_cmd =
         print_string (Diagnose.Summary.render rs);
         `Ok 0)
     | None ->
-      let config = config_of ~no_snapshot ~no_compile ~model ~trials ~seed () in
+      let config = config_of ~no_compile ~model ~trials ~seed () in
       let workloads =
         match workload_filter with
         | [] -> Workloads.all
@@ -788,7 +769,6 @@ let diagnose_cmd =
             ("trials", Obs.Json.Int trials);
             ("model", Obs.Json.Str (Core.Fault_model.name model));
             ("jobs", Obs.Json.Int (resolve_jobs jobs));
-            ("snapshot", Obs.Json.Bool (not no_snapshot));
           ]
       in
       (match
@@ -855,7 +835,7 @@ let diagnose_cmd =
       ret
         (const run $ filter_arg $ tools_arg $ cats_arg $ model_arg
        $ trials_arg 200 $ seed_arg $ from_arg $ records_arg $ csv_arg
-       $ jobs_arg $ no_snapshot_arg $ no_compile_arg
+       $ jobs_arg $ no_compile_arg
        $ obs_term ~manifest_default:None))
 
 (* --- exhaust --- *)
@@ -1211,7 +1191,7 @@ let tools_of = function
       l
 
 let serve_cmd =
-  let run socket tcp pool chunk journal idle no_snapshot no_compile obs =
+  let run socket tcp pool chunk journal idle no_compile obs =
     let tcp =
       match tcp with
       | None -> `Ok None
@@ -1234,7 +1214,6 @@ let serve_cmd =
             ("pool", Obs.Json.Int pool);
             ("chunk", Obs.Json.Int (Option.value chunk ~default:0));
             ("journal", Obs.Json.Bool (journal <> None));
-            ("snapshot", Obs.Json.Bool (not no_snapshot));
             ("compile", Obs.Json.Bool (not no_compile));
           ]
       in
@@ -1245,12 +1224,7 @@ let serve_cmd =
           pool_size = pool;
           chunk;
           journal;
-          base =
-            {
-              Core.Campaign.default_config with
-              snapshot = not no_snapshot;
-              compile = not no_compile;
-            };
+          base = { Core.Campaign.default_config with compile = not no_compile };
           idle_timeout = idle;
           handle_signals = true;
         }
@@ -1337,7 +1311,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ socket_arg $ tcp_arg $ pool_arg $ chunk_arg
-       $ serve_journal_arg $ idle_arg $ no_snapshot_arg $ no_compile_arg
+       $ serve_journal_arg $ idle_arg $ no_compile_arg
        $ obs_term ~manifest_default:None))
 
 let serve_tools_arg =

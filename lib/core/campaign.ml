@@ -21,7 +21,6 @@ type config = {
   llfi : Llfi.config;
   pinfi : Pinfi.config;
   backend : Backend.config;
-  snapshot : bool;  (* plan targets, execute sorted via fast-forward *)
   compile : bool;  (* closure-compile both programs once per workload *)
 }
 
@@ -33,7 +32,6 @@ let default_config =
     llfi = Llfi.default_config;
     pinfi = Pinfi.default_config;
     backend = Backend.default_config;
-    snapshot = true;
     compile = true;
   }
 
@@ -180,28 +178,27 @@ let runner_matches r (p : prepared) tool category =
    anywhere (another domain, a resumed process) and still see the exact
    stream the sequential runner would have given it.
 
-   With [config.snapshot] on, the range is executed out of order: all
-   targets are planned first (the target draw is draw #[target_draw]
-   of each trial stream, so planning changes no stream), trials run sorted by
-   target so the fast-forward machine only ever advances, and results
-   are buffered back into trial order before tallying — making the
-   tally, callbacks and records byte-identical to the direct path. *)
+   The range is executed out of order: all targets are planned first
+   (the target draw is draw #[target_draw] of each trial stream, so
+   planning changes no stream), trials run sorted by target so the
+   fast-forward machine only ever advances, and results are buffered
+   back into trial order before tallying — making the tally, callbacks
+   and records byte-identical to from-entry [Llfi.inject] /
+   [Pinfi.inject] trials on the same streams. *)
 let run_cell_range ?runner:(r0 : runner option) ?on_trial ?on_stats
     ?(track_use = false) config (p : prepared) tool category ~first ~count =
   if first < 0 || count < 0 then
     invalid_arg "Campaign.run_cell_range: negative trial range";
   let model = config.model in
-  let population, golden, inject, plan =
+  let population, golden, plan =
     match tool with
     | Llfi_tool ->
       ( Llfi.dynamic_count p.llfi category,
         p.llfi.Llfi.golden_output,
-        (fun rng -> Llfi.inject ~track_use ~model p.llfi category rng),
         fun rng -> Llfi.plan_target p.llfi category rng )
     | Pinfi_tool ->
       ( Pinfi.dynamic_count p.pinfi category,
         p.pinfi.Pinfi.golden_output,
-        (fun rng -> Pinfi.inject ~track_use ~model p.pinfi category rng),
         fun rng -> Pinfi.plan_target p.pinfi category rng )
   in
   let tally = Verdict.fresh_tally () in
@@ -210,61 +207,48 @@ let run_cell_range ?runner:(r0 : runner option) ?on_trial ?on_stats
       cell_rng config ~workload:p.workload.Workload.name ~tool ~category
     in
     Support.Rng.advance master first;
-    let consume trial verdict stats =
-      Verdict.add tally verdict;
-      Obs.Metrics.incr m_trials;
-      count_verdict verdict;
-      (match on_stats with Some f -> f trial verdict stats | None -> ());
-      match on_trial with Some f -> f trial verdict | None -> ()
+    let r =
+      match r0 with
+      | Some r ->
+        if not (runner_matches r p tool category) then
+          invalid_arg "Campaign.run_cell_range: runner from another cell";
+        r
+      | None -> runner p tool category
     in
-    if config.snapshot then begin
-      let r =
-        match r0 with
-        | Some r ->
-          if not (runner_matches r p tool category) then
-            invalid_arg "Campaign.run_cell_range: runner from another cell";
-          r
-        | None -> runner p tool category
-      in
-      let inject_at =
-        match r.r_impl with
-        | Lrun lr ->
-          fun ~target rng -> Llfi.inject_at ~track_use ~model lr ~target rng
-        | Prun pr ->
-          fun ~target rng -> Pinfi.inject_at ~track_use ~model pr ~target rng
-      in
-      let rngs, targets, order =
-        Obs.Trace.span "plan-targets" @@ fun () ->
-        let rngs = Array.init count (fun _ -> Support.Rng.split master) in
-        let targets = Array.map (fun rng -> plan rng) rngs in
-        let order = Array.init count (fun i -> i) in
-        Array.sort
-          (fun a b ->
-            let c = compare targets.(a) targets.(b) in
-            if c <> 0 then c else compare a b)
-          order;
-        (rngs, targets, order)
-      in
-      let results = Array.make count None in
-      (Obs.Trace.span "run-trials" @@ fun () ->
-       Array.iter
-         (fun i -> results.(i) <- Some (inject_at ~target:targets.(i) rngs.(i)))
-         order);
-      Array.iteri
-        (fun i stats ->
-          let stats = Option.get stats in
-          let verdict = Verdict.of_run ~golden_output:golden stats in
-          consume (first + i) verdict stats)
-        results
-    end
-    else
-      Obs.Trace.span "run-trials" @@ fun () ->
-      for trial = first to first + count - 1 do
-        let rng = Support.Rng.split master in
-        let stats = inject rng in
+    let inject_at =
+      match r.r_impl with
+      | Lrun lr ->
+        fun ~target rng -> Llfi.inject_at ~track_use ~model lr ~target rng
+      | Prun pr ->
+        fun ~target rng -> Pinfi.inject_at ~track_use ~model pr ~target rng
+    in
+    let rngs, targets, order =
+      Obs.Trace.span "plan-targets" @@ fun () ->
+      let rngs = Array.init count (fun _ -> Support.Rng.split master) in
+      let targets = Array.map (fun rng -> plan rng) rngs in
+      let order = Array.init count (fun i -> i) in
+      Array.sort
+        (fun a b ->
+          let c = compare targets.(a) targets.(b) in
+          if c <> 0 then c else compare a b)
+        order;
+      (rngs, targets, order)
+    in
+    let results = Array.make count None in
+    (Obs.Trace.span "run-trials" @@ fun () ->
+     Array.iter
+       (fun i -> results.(i) <- Some (inject_at ~target:targets.(i) rngs.(i)))
+       order);
+    Array.iteri
+      (fun i stats ->
+        let stats = Option.get stats in
         let verdict = Verdict.of_run ~golden_output:golden stats in
-        consume trial verdict stats
-      done
+        Verdict.add tally verdict;
+        Obs.Metrics.incr m_trials;
+        count_verdict verdict;
+        (match on_stats with Some f -> f (first + i) verdict stats | None -> ());
+        match on_trial with Some f -> f (first + i) verdict | None -> ())
+      results
   end;
   Obs.Metrics.incr m_cells;
   {

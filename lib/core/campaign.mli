@@ -24,12 +24,6 @@ type config = {
   llfi : Llfi.config;
   pinfi : Pinfi.config;
   backend : Backend.config;
-  snapshot : bool;
-      (** plan every trial's target first, execute sorted by target on a
-          rolling fast-forward machine, and re-emit results in trial
-          order.  Output is byte-identical either way; off is the
-          straight-line reference path (the [--no-snapshot] escape
-          hatch). *)
   compile : bool;
       (** closure-compile both programs once per workload ({!Llfi.prepare}
           / {!Pinfi.prepare} with [~compile]) and run every profiling,
@@ -40,7 +34,7 @@ type config = {
 
 val default_config : config
 (** 200 trials per cell, seed 2014, both tools' paper policies,
-    snapshot execution on. *)
+    compiled tier on. *)
 
 val paper_config : config
 (** The paper's 1000 injections per cell. *)
@@ -123,13 +117,13 @@ val run_cell_range :
     {!Verdict.merge} — into exactly the tally a single sequential
     [run_cell] would produce.
 
-    With [config.snapshot] on, the range's targets are planned first
-    and executed sorted on a fast-forward machine ([runner], or a fresh
-    one), with results re-emitted in trial order; every observable —
-    tally, callbacks, stats — is byte-identical to the direct path.
-    A supplied [runner] must come from {!runner} on the same [prepared]
-    value, tool and category ([Invalid_argument] otherwise); it is
-    ignored when [config.snapshot] is off.
+    The range's targets are planned first and executed sorted on a
+    fast-forward machine ([runner], or a fresh one), with results
+    re-emitted in trial order; every observable — tally, callbacks,
+    stats — is byte-identical to direct from-entry trials
+    ({!Llfi.inject} / {!Pinfi.inject}) on the same streams.  A
+    supplied [runner] must come from {!runner} on the same [prepared]
+    value, tool and category ([Invalid_argument] otherwise).
 
     [on_stats] observes each trial's full {!Vm.Outcome.stats} (for the
     diagnosis record stream); [track_use] turns on first-consumer

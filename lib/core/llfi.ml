@@ -91,7 +91,7 @@ let prepare ?(config = default_config) ?(compile = true) ~inputs
   let compiled = Vm.Ir_exec.compile ~classify:(classify config) prog in
   let fast = if compile then Some (Vm.Ir_exec.compile_fast compiled) else None in
   let counts = Array.make (1 lsl Category.count) 0 in
-  let golden = Vm.Ir_exec.run ~inputs ~profile_masks:counts ?fast compiled in
+  let golden = Vm.Ir_exec.run ~inputs ?fast (Profile counts) compiled in
   let golden_output =
     match golden.Vm.Outcome.outcome with
     | Vm.Outcome.Finished out -> out
@@ -132,8 +132,9 @@ let inject ?(track_use = false) ?(model = Fault_model.Bitflip) t category
   let plan =
     { Vm.Ir_exec.inj_mask = Category.mask category; target; rng }
   in
-  Vm.Ir_exec.run ~plan ~model ~inputs:t.inputs ~max_steps:t.max_steps
-    ~track_use ?fast:t.fast t.compiled
+  Vm.Ir_exec.run ~inputs:t.inputs ~max_steps:t.max_steps ?fast:t.fast
+    (Inject (plan, { model; forced_bit = None; track_use }))
+    t.compiled
 
 let plan_target = draw_target
 
@@ -155,8 +156,9 @@ let runner ?rejoin t category =
 
 let inject_at ?(track_use = false) ?(model = Fault_model.Bitflip) r ~target rng
     =
-  Vm.Ir_exec.ff_trial ~track_use ~model r.r_ff ~target
-    ~max_steps:r.r_t.max_steps ~rng
+  Vm.Ir_exec.ff_trial r.r_ff
+    ~fault:{ model; forced_bit = None; track_use }
+    ~target ~max_steps:r.r_t.max_steps ~rng
 
 (* --- exhaustive campaigns (lib/exhaust) --- *)
 
@@ -169,5 +171,6 @@ let inject_bit ?(track_use = false) ?(model = Fault_model.Bitflip) r ~target
   (* With [forced_bit] set, the trial draws nothing from its rng: the
      target is supplied and the bit is pinned, so a constant dummy
      stream keeps the result a pure function of (target, bit, model). *)
-  Vm.Ir_exec.ff_trial ~track_use ~forced_bit:bit ~model r.r_ff ~target
-    ~max_steps:r.r_t.max_steps ~rng:(Support.Rng.create 0L)
+  Vm.Ir_exec.ff_trial r.r_ff
+    ~fault:{ model; forced_bit = Some bit; track_use }
+    ~target ~max_steps:r.r_t.max_steps ~rng:(Support.Rng.create 0L)

@@ -59,7 +59,7 @@ val inject :
   Vm.Outcome.stats
 (** One injection run into the category.  [track_use] additionally
     classifies the corrupted value's first consumer (see
-    {!Vm.Ir_exec.run}); it draws nothing from the RNG, so results are
+    {!Vm.Ir_exec.mode}); it draws nothing from the RNG, so results are
     bit-identical with it on or off.  [model] (default
     {!Fault_model.Bitflip}, the paper's single-bit flip) selects the
     corruption applied at the chosen instance.

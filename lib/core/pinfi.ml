@@ -90,7 +90,7 @@ let prepare ?(config = default_config) ?(compile = true) ~inputs
   let loaded = Vm.X86_exec.load ~classify program in
   let fast = if compile then Some (Vm.X86_exec.compile loaded) else None in
   let counts = Array.make (1 lsl Category.count) 0 in
-  let golden = Vm.X86_exec.run ~inputs ~profile_masks:counts ?fast loaded in
+  let golden = Vm.X86_exec.run ~inputs ?fast (Profile counts) loaded in
   let golden_output =
     match golden.Vm.Outcome.outcome with
     | Vm.Outcome.Finished out -> out
@@ -131,8 +131,9 @@ let inject ?(track_use = false) ?(model = Fault_model.Bitflip) t category
       policy = t.config.policy;
     }
   in
-  Vm.X86_exec.run ~plan ~model ~inputs:t.inputs ~max_steps:t.max_steps
-    ~track_use ?fast:t.fast t.loaded
+  Vm.X86_exec.run ~inputs:t.inputs ~max_steps:t.max_steps ?fast:t.fast
+    (Inject (plan, { model; forced_bit = None; track_use }))
+    t.loaded
 
 let plan_target = draw_target
 
@@ -154,8 +155,9 @@ let runner ?rejoin t category =
 
 let inject_at ?(track_use = false) ?(model = Fault_model.Bitflip) r ~target rng
     =
-  Vm.X86_exec.ff_trial ~track_use ~model r.r_ff ~target
-    ~max_steps:r.r_t.max_steps ~rng
+  Vm.X86_exec.ff_trial r.r_ff
+    ~fault:{ model; forced_bit = None; track_use }
+    ~target ~max_steps:r.r_t.max_steps ~rng
 
 (* --- exhaustive campaigns (lib/exhaust) --- *)
 
@@ -169,5 +171,6 @@ let inject_bit ?(track_use = false) ?(model = Fault_model.Bitflip) r ~target
      so a constant dummy stream keeps results a pure function of
      (target, bit, model).  For a flags destination [bit] indexes the
      candidate bit list, matching the enumerated instance width. *)
-  Vm.X86_exec.ff_trial ~track_use ~forced_bit:bit ~model r.r_ff ~target
-    ~max_steps:r.r_t.max_steps ~rng:(Support.Rng.create 0L)
+  Vm.X86_exec.ff_trial r.r_ff
+    ~fault:{ model; forced_bit = Some bit; track_use }
+    ~target ~max_steps:r.r_t.max_steps ~rng:(Support.Rng.create 0L)

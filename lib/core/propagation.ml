@@ -60,7 +60,7 @@ let analyze (llfi : Llfi.t) category rng =
   let golden_trace = Vm.Ir_exec.create_trace () in
   let golden_stats =
     Vm.Ir_exec.run ~inputs:llfi.Llfi.inputs ~trace:golden_trace
-      ~max_steps:llfi.Llfi.max_steps llfi.Llfi.compiled
+      ~max_steps:llfi.Llfi.max_steps Golden llfi.Llfi.compiled
   in
   (match golden_stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished _ -> ()
@@ -72,8 +72,10 @@ let analyze (llfi : Llfi.t) category rng =
   let faulty_trace = Vm.Ir_exec.create_trace () in
   let plan = { Vm.Ir_exec.inj_mask = Category.mask category; target; rng } in
   let stats =
-    Vm.Ir_exec.run ~plan ~inputs:llfi.Llfi.inputs ~trace:faulty_trace
-      ~max_steps:llfi.Llfi.max_steps llfi.Llfi.compiled
+    Vm.Ir_exec.run ~inputs:llfi.Llfi.inputs ~trace:faulty_trace
+      ~max_steps:llfi.Llfi.max_steps
+      (Inject (plan, Vm.Fault_model.sampled Fault_model.Bitflip))
+      llfi.Llfi.compiled
   in
   let first_divergence, corrupted_values, control_flow_diverged_at =
     compare_traces golden_trace faulty_trace

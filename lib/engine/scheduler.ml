@@ -82,23 +82,20 @@ let m_cache_misses = Obs.Metrics.counter "engine.runner_cache.misses"
 let runner_cache : Core.Campaign.runner option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let cached_runner (config : Core.Campaign.config) p rejoin tool category =
-  if not config.Core.Campaign.snapshot then None
-  else begin
-    let cache = Domain.DLS.get runner_cache in
-    match !cache with
-    | Some r when Core.Campaign.runner_matches r p tool category ->
-      Obs.Metrics.incr m_cache_hits;
-      Some r
-    | _ ->
-      Obs.Metrics.incr m_cache_misses;
-      let r =
-        Obs.Trace.span "runner-build" (fun () ->
-            Core.Campaign.runner ?rejoin p tool category)
-      in
-      cache := Some r;
-      Some r
-  end
+let cached_runner p rejoin tool category =
+  let cache = Domain.DLS.get runner_cache in
+  match !cache with
+  | Some r when Core.Campaign.runner_matches r p tool category ->
+    Obs.Metrics.incr m_cache_hits;
+    r
+  | _ ->
+    Obs.Metrics.incr m_cache_misses;
+    let r =
+      Obs.Trace.span "runner-build" (fun () ->
+          Core.Campaign.runner ?rejoin p tool category)
+    in
+    cache := Some r;
+    r
 
 let merge_parts parts =
   match Array.to_list parts with
@@ -268,11 +265,9 @@ let run ?(jobs = 1) ?journal:journal_path ?(resume = false) ?progress
                 ~category:t.t_category ~trial verdict stats)
             observe
         in
-        let runner =
-          cached_runner config p rejoin_arr.(wi) t.t_tool t.t_category
-        in
+        let runner = cached_runner p rejoin_arr.(wi) t.t_tool t.t_category in
         let cell =
-          Core.Campaign.run_cell_range ?runner ?on_stats ~track_use config p
+          Core.Campaign.run_cell_range ~runner ?on_stats ~track_use config p
             t.t_tool t.t_category ~first ~count
         in
         (cell, Unix.gettimeofday () -. t0)

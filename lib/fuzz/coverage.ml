@@ -82,18 +82,16 @@ let llfi_dyn (p : Campaign.prepared) =
   let compiled = p.Campaign.llfi.Core.Llfi.compiled in
   let counts = Array.make (Vm.Ir_exec.gid_limit compiled) 0 in
   ignore
-    (Vm.Ir_exec.run
-       ~inputs:p.Campaign.llfi.Core.Llfi.inputs
-       ~profile_sites:counts compiled);
+    (Vm.Ir_exec.run ~inputs:p.Campaign.llfi.Core.Llfi.inputs
+       (Profile_sites counts) compiled);
   fun gid -> counts.(gid)
 
 let pinfi_dyn (p : Campaign.prepared) =
   let loaded = p.Campaign.pinfi.Core.Pinfi.loaded in
   let counts = Array.make (Array.length loaded.Vm.X86_exec.masks) 0 in
   ignore
-    (Vm.X86_exec.run
-       ~inputs:p.Campaign.pinfi.Core.Pinfi.inputs
-       ~profile_index:counts loaded);
+    (Vm.X86_exec.run ~inputs:p.Campaign.pinfi.Core.Pinfi.inputs
+       (Profile_index counts) loaded);
   fun idx -> counts.(idx)
 
 (* --- trial sampling --- *)

@@ -50,7 +50,7 @@ let stage_names = List.map fst passes @ [ "opt"; "asm" ]
 let ref_budget = 20_000_000
 
 let ir_behaviour ~budget prog =
-  render (Vm.Ir_exec.run ~max_steps:budget (Vm.Ir_exec.compile prog))
+  render (Vm.Ir_exec.run ~max_steps:budget Golden (Vm.Ir_exec.compile prog))
 
 let guard stage f =
   match f () with
@@ -78,7 +78,9 @@ let run ?mutate subject =
   | exception Ir.Parse.Error msg -> Invalid msg
   | exception Invalid_argument msg -> Invalid msg
   | ref_prog -> (
-    match Vm.Ir_exec.run ~max_steps:ref_budget (Vm.Ir_exec.compile ref_prog) with
+    match
+      Vm.Ir_exec.run ~max_steps:ref_budget Golden (Vm.Ir_exec.compile ref_prog)
+    with
     | exception Invalid_argument msg -> Invalid msg
     | { Vm.Outcome.outcome = Vm.Outcome.Hung; _ } ->
       Invalid "reference run exceeded its step budget"
@@ -114,7 +116,7 @@ let run ?mutate subject =
                       let p = Opt.optimize (lower subject) in
                       let asm = Backend.compile p in
                       render
-                        (Vm.X86_exec.run ~max_steps:asm_budget
+                        (Vm.X86_exec.run ~max_steps:asm_budget Golden
                            (Vm.X86_exec.load asm)))) );
           ]
       in

@@ -20,15 +20,16 @@ type entry = {
 
 type t = { oc : out_channel; mutex : Mutex.t; mutable closed : bool }
 
-(* v2 added the fault-model token to job lines; v1 journals are
-   rejected by the header check instead of silently dropping jobs. *)
-let header ~snapshot =
-  Printf.sprintf "# fi-serve-journal v2 snapshot=%b" snapshot
+(* v2 added the fault-model token to job lines; v3 escapes the output
+   path and drops the snapshot token.  Older journals are rejected by
+   the header check instead of being misread. *)
+let header = "# fi-serve-journal v3"
 
 let comma f xs = String.concat "," (List.map f xs)
 
-(* The output path is the only free-form field, so it goes last and the
-   parser rejoins the remaining tokens; "-" stands for none. *)
+(* The output path is the only free-form field, so it goes last, as
+   "-" for none or an OCaml string literal: escaped, a path can hold
+   no newline that would forge a journal line. *)
 let job_line ~id ~chunk (j : Wire.job) =
   Printf.sprintf "job %d %d %d %d %s %s %s %s %s" id j.Wire.j_trials
     j.Wire.j_seed chunk
@@ -36,7 +37,7 @@ let job_line ~id ~chunk (j : Wire.job) =
     (comma Core.Campaign.tool_name j.Wire.j_tools)
     (comma Core.Category.name j.Wire.j_categories)
     j.Wire.j_workload
-    (match j.Wire.j_out with None -> "-" | Some p -> p)
+    (match j.Wire.j_out with None -> "-" | Some p -> Printf.sprintf "%S" p)
 
 let shard_line ~id (s : shard) =
   let t = s.s_tally in
@@ -72,20 +73,27 @@ let parse_job tokens =
         Some tools,
         Some cats ) ->
       let out =
-        match rest with [] | [ "-" ] -> None | l -> Some (String.concat " " l)
+        match String.concat " " rest with
+        | "-" -> Some None
+        | s -> (
+          match Scanf.sscanf s "%S%!" Fun.id with
+          | p -> Some (Some p)
+          | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
       in
-      Some
-        ( id,
-          chunk,
-          {
-            Wire.j_workload = workload;
-            j_tools = tools;
-            j_categories = cats;
-            j_model = model;
-            j_trials = trials;
-            j_seed = seed;
-            j_out = out;
-          } )
+      Option.map
+        (fun out ->
+          ( id,
+            chunk,
+            {
+              Wire.j_workload = workload;
+              j_tools = tools;
+              j_categories = cats;
+              j_model = model;
+              j_trials = trials;
+              j_seed = seed;
+              j_out = out;
+            } ))
+        out
     | _ -> None)
   | _ -> None
 
@@ -130,19 +138,18 @@ let parse_shard tokens =
     | _ -> None)
   | _ -> None
 
-let load ~path ~snapshot =
+let load ~path =
   In_channel.with_open_text path (fun ic ->
       (match In_channel.input_line ic with
-      | Some first when String.equal (String.trim first) (header ~snapshot) -> ()
+      | Some first when String.equal (String.trim first) header -> ()
       | Some first ->
         invalid_arg
           (Printf.sprintf
-             "Joblog.load: %s was written by a differently-configured server.\n\
-             \  journal:    %s\n\
-             \  invocation: %s\n\
-              Restart with the original configuration, or use a fresh \
-              journal path."
-             path (String.trim first) (header ~snapshot))
+             "Joblog.load: %s is not a journal this server can read.\n\
+             \  journal:  %s\n\
+             \  expected: %s\n\
+              Use a fresh journal path."
+             path (String.trim first) header)
       | None -> ());
       let entries : (int, entry) Hashtbl.t = Hashtbl.create 16 in
       let order = ref [] in
@@ -151,8 +158,10 @@ let load ~path ~snapshot =
         | None -> ()
         | Some line ->
           (* Skip anything unparseable: a line truncated by a SIGKILL
-             mid-append must not poison the rest of the journal. *)
-          (match String.split_on_char ' ' (String.trim line) with
+             mid-append must not poison the rest of the journal.  No
+             trimming: the split is lossless, so a job's quoted output
+             path is rejoined exactly. *)
+          (match String.split_on_char ' ' line with
           | "job" :: rest -> (
             match parse_job rest with
             | Some (id, chunk, job) when not (Hashtbl.mem entries id) ->
@@ -188,15 +197,13 @@ let load ~path ~snapshot =
       go ();
       List.rev_map (Hashtbl.find entries) !order)
 
-let start ~path ~snapshot =
-  let existing =
-    if Sys.file_exists path then load ~path ~snapshot else []
-  in
+let start ~path =
+  let existing = if Sys.file_exists path then load ~path else [] in
   let oc =
     if existing <> [] then open_out_gen [ Open_append; Open_creat ] 0o644 path
     else begin
       let oc = open_out path in
-      output_string oc (header ~snapshot);
+      output_string oc header;
       output_char oc '\n';
       flush oc;
       oc

@@ -1,9 +1,10 @@
 (** Per-job service journal: the crash-recovery log of [fi serve].
 
     Line-delimited plain text, in the style of {!Engine.Journal}: one
-    header line binding the file to the server's result-affecting
-    configuration (snapshot mode), then for every admitted job a [job]
-    line (spec + shard size), a [shard] line per completed shard tally,
+    versioned header line, then for every admitted job a [job] line
+    (spec + shard size, the client-supplied output path last as an
+    escaped OCaml string literal so no byte of it can forge a line), a
+    [shard] line per completed shard tally,
     and finally a [done] (digest) or [fail] line.  Every append is
     flushed, so a SIGKILLed server loses at most the shards in flight;
     on restart, jobs with no terminal line are re-admitted with their
@@ -34,7 +35,7 @@ type entry = {
 
 type t
 
-val start : path:string -> snapshot:bool -> t * entry list
+val start : path:string -> t * entry list
 (** Open (or create) the journal.  An existing file is validated and
     loaded — the returned entries are every journaled job, terminal or
     not, in id order — and subsequent records append.
@@ -50,4 +51,4 @@ val close : t -> unit
 
 val job_line : id:int -> chunk:int -> Wire.job -> string
 val shard_line : id:int -> shard -> string
-val load : path:string -> snapshot:bool -> entry list
+val load : path:string -> entry list

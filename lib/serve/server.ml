@@ -131,21 +131,18 @@ let runner_cache :
     Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-let cached_runner (jcfg : Core.Campaign.config) p rejoin name tool category =
-  if not jcfg.Core.Campaign.snapshot then None
-  else begin
-    let cache = Domain.DLS.get runner_cache in
-    let key = (name, tool, category) in
-    match Hashtbl.find_opt cache key with
-    | Some r when Core.Campaign.runner_matches r p tool category ->
-      Obs.Metrics.incr m_runner_hits;
-      Some r
-    | _ ->
-      Obs.Metrics.incr m_runner_misses;
-      let r = Core.Campaign.runner ~rejoin p tool category in
-      Hashtbl.replace cache key r;
-      Some r
-  end
+let cached_runner p rejoin name tool category =
+  let cache = Domain.DLS.get runner_cache in
+  let key = (name, tool, category) in
+  match Hashtbl.find_opt cache key with
+  | Some r when Core.Campaign.runner_matches r p tool category ->
+    Obs.Metrics.incr m_runner_hits;
+    r
+  | _ ->
+    Obs.Metrics.incr m_runner_misses;
+    let r = Core.Campaign.runner ~rejoin p tool category in
+    Hashtbl.replace cache key r;
+    r
 
 let write_file path content =
   let oc = open_out path in
@@ -169,9 +166,7 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
     match cfg.journal with
     | None -> (None, [])
     | Some path ->
-      let j, entries =
-        Joblog.start ~path ~snapshot:cfg.base.Core.Campaign.snapshot
-      in
+      let j, entries = Joblog.start ~path in
       (Some j, entries)
   in
   let pool = Engine.Pool.create ~size:(max 1 cfg.pool_size) () in
@@ -439,12 +434,12 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
               ~trials:key.Plan.p_trials ~seed:key.Plan.p_seed
           in
           let runner =
-            cached_runner jcfg p rejoin key.Plan.p_workload key.Plan.p_tool
+            cached_runner p rejoin key.Plan.p_workload key.Plan.p_tool
               key.Plan.p_category
           in
           let t0 = now () in
           let cell =
-            Core.Campaign.run_cell_range ?runner jcfg p key.Plan.p_tool
+            Core.Campaign.run_cell_range ~runner jcfg p key.Plan.p_tool
               key.Plan.p_category ~first ~count
           in
           Obs.Metrics.incr m_shards;

@@ -55,3 +55,8 @@ let draws = function
   | Multi_bit n -> n
   | Skip -> 0
   | Load_value -> 1
+
+(* One injection's settings, as both VMs' [Inject] mode takes them. *)
+type fault = { model : t; forced_bit : int option; track_use : bool }
+
+let sampled model = { model; forced_bit = None; track_use = false }

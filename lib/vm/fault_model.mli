@@ -29,3 +29,19 @@ val equal : t -> t -> bool
 val draws : t -> int
 (** RNG draws the model consumes at the injection point (0 for
     [Skip]). *)
+
+(** One injection's settings: the corruption, an optional pinned bit
+    and first-use tracking.  Both VMs' [Inject] mode takes one. *)
+type fault = {
+  model : t;
+  forced_bit : int option;
+      (** pin the faulted bit instead of drawing it (exhaustive
+          replay); for an x86 flags destination, an index into the
+          candidate bit list *)
+  track_use : bool;
+      (** classify the corrupted value's first consumer into
+          [stats.first_use]; draws nothing, so results are unchanged *)
+}
+
+val sampled : t -> fault
+(** [model] with the bit drawn from the trial's rng and no tracking. *)

@@ -513,19 +513,17 @@ let gid_limit c =
 
 (* --- execution --- *)
 
-type mode =
-  | Plain
-  | Profile of int array * int array option
-      (* dynamic count per mask value; per-gid counts of candidate sites *)
-  | Inject
-  | Forward  (* fast-forward: count matching instances, pause at ff_stop *)
-  | Enumerate  (* fault-space pre-pass: per-instance Fault_space records *)
-
 type plan = {
   inj_mask : int;  (* category bit to match *)
   target : int;  (* which dynamic instance to corrupt *)
   rng : Rng.t;  (* chooses the bit to flip *)
 }
+
+type mode =
+  | Golden
+  | Profile of int array  (* dynamic count per mask value *)
+  | Profile_sites of int array  (* per-gid counts of candidates and phis *)
+  | Inject of plan * Fault_model.fault
 
 (* A propagation trace: the fingerprint of every value-producing
    instruction's result, in execution order.  Comparing a golden trace
@@ -612,10 +610,10 @@ type state = {
   mutable steps : int;
   mutable sp : int;
   mutable depth : int;
-  mode : mode;
-  mutable countdown : int;  (* inject mode: distance to target instance *)
+  phase : Fault_space.builder list ref Phase.t;
+      (* what the run is for, with its own state; [Enumerate] collects
+         the fault-space records, newest first *)
   inj_mask : int;
-  inj_rng : Rng.t;
   mutable injected : bool;
   mutable injected_step : int;
   mutable fault_note : string;
@@ -625,17 +623,10 @@ type state = {
   mutable first_use : First_use.t;
   mutable fault_site : int;  (* gid of the injected instruction *)
   mutable stack : frame list;  (* top frame first *)
-  mutable ff_stop : int;  (* forward mode: pause before instance > stop *)
-  mutable matched : int;  (* forward mode: matching instances executed *)
-  forced_bit : int;  (* >= 0: exhaustive replay pins the flipped bit *)
-  model : Fault_model.t;  (* corruption applied at the injection site *)
   skip_capture : bool;
       (* Inject mode under [Skip]: capture the destination before each
          candidate write so the injection can suppress it.  False in
          every other run, so the hot path pays one boolean load. *)
-  mutable cap_i : int;  (* captured integer destination value *)
-  mutable cap_f : float;  (* captured float destination value *)
-  mutable enum_rev : Fault_space.builder list;  (* Enumerate accumulator *)
   mutable rej : rej option;  (* rejoin digest context, or None *)
 }
 
@@ -667,78 +658,68 @@ let set_int w v bit b =
 let set_float f bit b =
   Int64.float_of_bits (Bits.set_int64 (Int64.bits_of_float f) bit b)
 
-let draw_bit st w =
-  if st.forced_bit >= 0 then st.forced_bit else Rng.int st.inj_rng w
-
-(* One uniform [w]-bit value, from a single 64-bit draw whatever the
-   width (so [Load_value] always consumes exactly one draw). *)
-let draw_word st w =
-  let x = Rng.next_int64 st.inj_rng in
-  if w >= Word.width then Int64.to_int (Int64.shift_right_logical x 1)
-  else Word.canon w (Int64.to_int (Int64.logand x (Bits.mask_width w)))
-
-let inject_int st w v =
+let inject_int st (inj : Phase.inj) w v =
   st.injected <- true;
   st.injected_step <- st.steps;
-  match st.model with
+  match inj.model with
   | Fault_model.Bitflip ->
-    let bit = draw_bit st w in
+    let bit = Phase.draw_bit inj w in
     st.fault_note <- Printf.sprintf "bit %d of %d-bit result" bit w;
     flip_int w v bit
   | Fault_model.Multi_bit n ->
-    let bit = draw_bit st w in
+    let bit = Phase.draw_bit inj w in
     let acc = ref (flip_int w v bit) in
     for _ = 2 to n do
-      acc := flip_int w !acc (Rng.int st.inj_rng w)
+      acc := flip_int w !acc (Rng.int inj.rng w)
     done;
     st.fault_note <-
       Printf.sprintf "bit %d of %d-bit result (+%d more)" bit w (n - 1);
     !acc
   | Fault_model.Stuck_at_0 ->
-    let bit = draw_bit st w in
+    let bit = Phase.draw_bit inj w in
     st.fault_note <- Printf.sprintf "bit %d of %d-bit result stuck at 0" bit w;
     set_int w v bit false
   | Fault_model.Stuck_at_1 ->
-    let bit = draw_bit st w in
+    let bit = Phase.draw_bit inj w in
     st.fault_note <- Printf.sprintf "bit %d of %d-bit result stuck at 1" bit w;
     set_int w v bit true
   | Fault_model.Skip ->
     st.fault_note <- Printf.sprintf "write of %d-bit result skipped" w;
-    st.cap_i
+    inj.cap_i
   | Fault_model.Load_value ->
     st.fault_note <- Printf.sprintf "value of %d-bit result randomized" w;
-    draw_word st w
+    Phase.draw_word inj w
 
-let inject_float st f =
+let inject_float st (inj : Phase.inj) f =
   st.injected <- true;
   st.injected_step <- st.steps;
-  match st.model with
+  match inj.model with
   | Fault_model.Bitflip ->
-    let bit = draw_bit st 64 in
+    let bit = Phase.draw_bit inj 64 in
     st.fault_note <- Printf.sprintf "bit %d of f64 result" bit;
     Bits.flip_float f bit
   | Fault_model.Multi_bit n ->
-    let bit = draw_bit st 64 in
+    let bit = Phase.draw_bit inj 64 in
     let acc = ref (Bits.flip_float f bit) in
     for _ = 2 to n do
-      acc := Bits.flip_float !acc (Rng.int st.inj_rng 64)
+      acc := Bits.flip_float !acc (Rng.int inj.rng 64)
     done;
     st.fault_note <- Printf.sprintf "bit %d of f64 result (+%d more)" bit (n - 1);
     !acc
   | Fault_model.Stuck_at_0 ->
-    let bit = draw_bit st 64 in
+    let bit = Phase.draw_bit inj 64 in
     st.fault_note <- Printf.sprintf "bit %d of f64 result stuck at 0" bit;
     set_float f bit false
   | Fault_model.Stuck_at_1 ->
-    let bit = draw_bit st 64 in
+    let bit = Phase.draw_bit inj 64 in
     st.fault_note <- Printf.sprintf "bit %d of f64 result stuck at 1" bit;
     set_float f bit true
   | Fault_model.Skip ->
     st.fault_note <- "write of f64 result skipped";
-    st.cap_f
+    inj.cap_f
   | Fault_model.Load_value ->
     st.fault_note <- "value of f64 result randomized";
-    Int64.float_of_bits (Rng.next_int64 st.inj_rng)
+    Int64.float_of_bits (Rng.next_int64 inj.rng)
 
 let icmp_eval (p : Ir.Instr.icmp) w x y =
   match p with
@@ -774,25 +755,27 @@ let fcmp_eval (p : Ir.Instr.fcmp) x y =
    mask/countdown test mirrors the Inject branch of [post_exec] for the
    same instruction, so exactly the targeted instance is captured. *)
 let capture_dest st mask dest (ienv : int array) (fenv : float array) =
-  if st.countdown = 0 && mask land st.inj_mask <> 0 then
+  match st.phase with
+  | Phase.Injecting inj when inj.countdown = 0 && mask land st.inj_mask <> 0
+    -> (
     match dest with
-    | DInt (slot, _) -> st.cap_i <- ienv.(slot)
-    | DFloat slot -> st.cap_f <- fenv.(slot)
-    | DNone -> ()
+    | DInt (slot, _) -> inj.cap_i <- ienv.(slot)
+    | DFloat slot -> inj.cap_f <- fenv.(slot)
+    | DNone -> ())
+  | _ -> ()
 
 (* Called after the destination slot has been written.  The Forward
    branch counts exactly the instances the Inject countdown would see,
    so a machine paused at [matched = m] resumes a trial on instance
    [target] with [countdown = target - m]. *)
 let post_exec st mask gid dest ienv fenv e_env =
-  match st.mode with
-  | Plain -> ()
-  | Profile (counts, sites) ->
-    counts.(mask) <- counts.(mask) + 1;
-    (match sites with Some s -> s.(gid) <- s.(gid) + 1 | None -> ())
-  | Forward ->
-    if mask land st.inj_mask <> 0 then st.matched <- st.matched + 1
-  | Enumerate ->
+  match st.phase with
+  | Phase.Plain -> ()
+  | Phase.Counting counts -> counts.(mask) <- counts.(mask) + 1
+  | Phase.Counting_sites sites -> sites.(gid) <- sites.(gid) + 1
+  | Phase.Forward f ->
+    if mask land st.inj_mask <> 0 then f.matched <- f.matched + 1
+  | Phase.Enumerate rev ->
     (* Start tracking this instance's destination; instances accumulate
        in exactly the order the Inject countdown meets them, so index k
        of the finished array is the fault [target = k] corrupts. *)
@@ -811,27 +794,37 @@ let post_exec st mask gid dest ienv fenv e_env =
         | DNone -> (1, 0L)
       in
       let b = Fault_space.create ~gold ~width in
-      st.enum_rev <- b :: st.enum_rev;
+      rev := b :: !rev;
       match dest with
       | DInt (slot, _) | DFloat slot -> e_env.(slot) <- Some b
       | DNone -> ()
     end
-  | Inject ->
+  | Phase.Injecting inj ->
     if mask land st.inj_mask <> 0 then begin
-      if st.countdown = 0 then begin
+      if inj.countdown = 0 then begin
         match dest with
         | DInt (slot, w) ->
-          ienv.(slot) <- inject_int st w ienv.(slot);
+          ienv.(slot) <- inject_int st inj w ienv.(slot);
           st.fault_site <- gid;
           if st.track_use then st.fu_watch <- FU_int (ienv, slot)
         | DFloat slot ->
-          fenv.(slot) <- inject_float st fenv.(slot);
+          fenv.(slot) <- inject_float st inj fenv.(slot);
           st.fault_site <- gid;
           if st.track_use then st.fu_watch <- FU_float (fenv, slot)
         | DNone -> ()
       end;
-      st.countdown <- st.countdown - 1
+      inj.countdown <- inj.countdown - 1
     end
+
+(* Record the value an instruction just wrote, when tracing. *)
+let[@inline] trace_dest st gid dest (ienv : int array) (fenv : float array) =
+  match st.trace with
+  | None -> ()
+  | Some tr -> (
+    match dest with
+    | DInt (slot, _) -> trace_push tr gid ienv.(slot)
+    | DFloat slot -> trace_push tr gid (float_fingerprint fenv.(slot))
+    | DNone -> ())
 
 (* --- first-use classification (diagnosis hooks) ---
 
@@ -1188,7 +1181,9 @@ let push_frame st (f : cfunc) (args : ret array) ret_instr =
       | RVoid -> ignore is_float)
     f.params;
   let e_env =
-    match st.mode with Enumerate -> Array.make f.nslots None | _ -> [||]
+    match st.phase with
+    | Phase.Enumerate _ -> Array.make f.nslots None
+    | _ -> [||]
   in
   st.stack <-
     {
@@ -2099,8 +2094,14 @@ let rejoin_boundary (st : state) rj fr b =
 let exec_frames ?(fops = [||]) (c : compiled) st =
   let funcs = c.cfuncs in
   let use_f = Array.length fops > 0 in
-  let forward = match st.mode with Forward -> true | _ -> false in
-  let enum = match st.mode with Enumerate -> true | _ -> false in
+  (* The phase facts the loop tests, matched once; [fw] is only read
+     when [forward] holds. *)
+  let forward, fw =
+    match st.phase with
+    | Phase.Forward f -> (true, f)
+    | _ -> (false, Phase.forward ())
+  in
+  let enum = match st.phase with Phase.Enumerate _ -> true | _ -> false in
   let finished = ref false in
   let running = ref true in
   while !running do
@@ -2126,7 +2127,7 @@ let exec_frames ?(fops = [||]) (c : compiled) st =
           end
           else 0
         in
-        if nmatch > 0 && st.matched + nmatch > st.ff_stop then
+        if nmatch > 0 && fw.matched + nmatch > fw.ff_stop then
           running := false
         else begin
           if nphis > 0 then begin
@@ -2149,14 +2150,7 @@ let exec_frames ?(fops = [||]) (c : compiled) st =
               | DNone -> ());
               st.steps <- st.steps + 1;
               post_exec st p.pmask p.pgid p.pdest ienv fenv fr.e_env;
-              match st.trace with
-              | Some tr -> (
-                match p.pdest with
-                | DInt (slot, _) -> trace_push tr p.pgid ienv.(slot)
-                | DFloat slot ->
-                  trace_push tr p.pgid (float_fingerprint fenv.(slot))
-                | DNone -> ())
-              | None -> ()
+              trace_dest st p.pgid p.pdest ienv fenv
             done
           end;
           if st.steps > st.max_steps then raise Outcome.Hang_limit;
@@ -2174,7 +2168,7 @@ let exec_frames ?(fops = [||]) (c : compiled) st =
           if
             forward && (not is_call)
             && ci.mask land st.inj_mask <> 0
-            && st.matched >= st.ff_stop
+            && fw.matched >= fw.ff_stop
           then begin
             (* Pause before the instance that would overrun the stop. *)
             fr.pos <- !k;
@@ -2201,14 +2195,7 @@ let exec_frames ?(fops = [||]) (c : compiled) st =
                else exec_op st ci ienv fenv);
               if ci.mask <> 0 then
                 post_exec st ci.mask ci.gid ci.dest ienv fenv fr.e_env;
-              (match st.trace with
-              | Some tr -> (
-                match ci.dest with
-                | DInt (slot, _) -> trace_push tr ci.gid ienv.(slot)
-                | DFloat slot ->
-                  trace_push tr ci.gid (float_fingerprint fenv.(slot))
-                | DNone -> ())
-              | None -> ());
+              trace_dest st ci.gid ci.dest ienv fenv;
               incr k
           end
         done;
@@ -2224,7 +2211,7 @@ let exec_frames ?(fops = [||]) (c : compiled) st =
             forward
             && (match (b.term, fr.ret_instr) with
                | Tret _, Some ci ->
-                 ci.mask land st.inj_mask <> 0 && st.matched >= st.ff_stop
+                 ci.mask land st.inj_mask <> 0 && fw.matched >= fw.ff_stop
                | _ -> false)
           in
           if term_pause then running := false
@@ -2258,14 +2245,7 @@ let exec_frames ?(fops = [||]) (c : compiled) st =
                 if ci.mask <> 0 then
                   post_exec st ci.mask ci.gid ci.dest parent.ienv parent.fenv
                     parent.e_env;
-                (match st.trace with
-                | Some tr -> (
-                  match ci.dest with
-                  | DInt (slot, _) -> trace_push tr ci.gid parent.ienv.(slot)
-                  | DFloat slot ->
-                    trace_push tr ci.gid (float_fingerprint parent.fenv.(slot))
-                  | DNone -> ())
-                | None -> ())
+                trace_dest st ci.gid ci.dest parent.ienv parent.fenv
               | _ -> ())
             | Tbr (target, ord) ->
               fr.fblock <- target;
@@ -2359,20 +2339,13 @@ let exec_to_stats ?(fops = [||]) (c : compiled) st =
     first_use = st.first_use;
   }
 
-let run ?plan ?(model = Fault_model.Bitflip) ?(forced_bit = -1) ?(inputs = [||])
-    ?(max_steps = 100_000_000) ?profile_masks ?profile_sites ?trace
-    ?(track_use = false) ?fast (c : compiled) =
-  let mode, countdown, inj_mask, inj_rng =
-    match (plan, profile_masks, profile_sites) with
-    | Some _, Some _, _ | Some _, _, Some _ ->
-      invalid_arg "Ir_exec.run: profile and inject exclusive"
-    | Some p, None, None -> (Inject, p.target, p.inj_mask, p.rng)
-    | None, Some counts, sites -> (Profile (counts, sites), -1, 0, Rng.of_int 0)
-    | None, None, Some sites ->
-      (* Site counts alone: feed the mask histogram to a scratch array. *)
-      (Profile (Array.make (1 lsl 8) 0, Some sites), -1, 0, Rng.of_int 0)
-    | None, None, None -> (Plain, -1, 0, Rng.of_int 0)
-  in
+let new_rej ?journal ?recorder ?(acc = 0) () =
+  { rj_acc = acc; rj_cnt = 0; rj_journal = journal; rj_rec = recorder;
+    rj_seen = None }
+
+(* A fresh machine about to enter [main]. *)
+let fresh_state ?(inj_mask = 0) ?(track_use = false) ?trace ?rej
+    (c : compiled) ~inputs ~max_steps phase =
   let st =
     {
       mem = init_memory c;
@@ -2382,10 +2355,8 @@ let run ?plan ?(model = Fault_model.Bitflip) ?(forced_bit = -1) ?(inputs = [||])
       steps = 0;
       sp = Memory.stack_top;
       depth = 0;
-      mode;
-      countdown;
+      phase;
       inj_mask;
-      inj_rng;
       injected = false;
       injected_step = -1;
       fault_note = "";
@@ -2395,119 +2366,59 @@ let run ?plan ?(model = Fault_model.Bitflip) ?(forced_bit = -1) ?(inputs = [||])
       first_use = First_use.Unone;
       fault_site = -1;
       stack = [];
-      ff_stop = -1;
-      matched = 0;
-      forced_bit;
-      model;
-      skip_capture =
-        (match mode with Inject -> model = Fault_model.Skip | _ -> false);
-      cap_i = 0;
-      cap_f = 0.0;
-      enum_rev = [];
-      rej = None;
+      skip_capture = Phase.skip_capture phase;
+      rej;
     }
   in
   push_frame st c.cfuncs.(c.main_index) [||] None;
+  st
+
+let run ?(inputs = [||]) ?(max_steps = 100_000_000) ?trace ?fast mode
+    (c : compiled) =
+  let st =
+    match mode with
+    | Golden -> fresh_state ?trace c ~inputs ~max_steps Phase.Plain
+    | Profile counts ->
+      fresh_state ?trace c ~inputs ~max_steps (Phase.Counting counts)
+    | Profile_sites sites ->
+      fresh_state ?trace c ~inputs ~max_steps (Phase.Counting_sites sites)
+    | Inject (p, f) ->
+      fresh_state ~inj_mask:p.inj_mask ~track_use:f.track_use ?trace c ~inputs
+        ~max_steps
+        (Phase.injecting ~countdown:p.target ~rng:p.rng f)
+  in
   exec_to_stats ~fops:(fops_of fast) c st
 
-(* Fault-space pre-pass: one golden Enumerate-mode run over the cell. *)
-let enumerate ?fast (c : compiled) ~inputs ~inj_mask ~max_steps =
-  let st =
-    {
-      mem = init_memory c;
-      out = Buffer.create 4096;
-      inputs;
-      max_steps;
-      steps = 0;
-      sp = Memory.stack_top;
-      depth = 0;
-      mode = Enumerate;
-      countdown = -1;
-      inj_mask;
-      inj_rng = Rng.of_int 0;
-      injected = false;
-      injected_step = -1;
-      fault_note = "";
-      trace = None;
-      track_use = false;
-      fu_watch = FU_off;
-      first_use = First_use.Unone;
-      fault_site = -1;
-      stack = [];
-      ff_stop = -1;
-      matched = 0;
-      forced_bit = -1;
-      model = Fault_model.Bitflip;
-      skip_capture = false;
-      cap_i = 0;
-      cap_f = 0.0;
-      enum_rev = [];
-      rej = None;
-    }
-  in
-  push_frame st c.cfuncs.(c.main_index) [||] None;
-  (match exec_frames ~fops:(fops_of fast) c st with
+(* A whole-program golden run in a bookkeeping phase; [what] names the
+   caller in the error raised if the run does not complete. *)
+let run_golden ?fast (c : compiled) st ~what =
+  match exec_frames ~fops:(fops_of fast) c st with
   | _ -> ()
   | exception Trap.Trap _ | (exception Outcome.Hang_limit)
   | (exception Stack_overflow) ->
-    invalid_arg "Ir_exec.enumerate: golden run did not complete");
-  Fault_space.finish st.enum_rev
+    invalid_arg (what ^ ": golden run did not complete")
+
+(* Fault-space pre-pass: one golden Enumerate-phase run over the cell. *)
+let enumerate ?fast (c : compiled) ~inputs ~inj_mask ~max_steps =
+  let rev = ref [] in
+  let st = fresh_state ~inj_mask c ~inputs ~max_steps (Phase.Enumerate rev) in
+  run_golden ?fast c st ~what:"Ir_exec.enumerate";
+  Fault_space.finish !rev
 
 (* One digest-maintaining golden run; the resulting journal serves
    every trial of the same (program, inputs), whatever the category. *)
 let record_journal ?fast (c : compiled) ~inputs =
   let b = Rejoin.builder () in
   let st =
-    {
-      mem = init_memory c;
-      out = Buffer.create 4096;
-      inputs;
-      max_steps = max_int;
-      steps = 0;
-      sp = Memory.stack_top;
-      depth = 0;
-      mode = Plain;
-      countdown = -1;
-      inj_mask = 0;
-      inj_rng = Rng.of_int 0;
-      injected = false;
-      injected_step = -1;
-      fault_note = "";
-      trace = None;
-      track_use = false;
-      fu_watch = FU_off;
-      first_use = First_use.Unone;
-      fault_site = -1;
-      stack = [];
-      ff_stop = -1;
-      matched = 0;
-      forced_bit = -1;
-      model = Fault_model.Bitflip;
-      skip_capture = false;
-      cap_i = 0;
-      cap_f = 0.0;
-      enum_rev = [];
-      rej =
-        Some
-          {
-            rj_acc = 0;
-            rj_cnt = 0;
-            rj_journal = None;
-            rj_rec = Some b;
-            rj_seen = None;
-          };
-    }
+    fresh_state ~rej:(new_rej ~recorder:b ()) c ~inputs ~max_steps:max_int
+      Phase.Plain
   in
-  push_frame st c.cfuncs.(c.main_index) [||] None;
-  (match exec_frames ~fops:(fops_of fast) c st with
-  | _ -> ()
-  | exception Trap.Trap _ | (exception Stack_overflow) ->
-    invalid_arg "Ir_exec.record_journal: golden run did not complete");
+  run_golden ?fast c st ~what:"Ir_exec.record_journal";
   Rejoin.finish b ~total_steps:st.steps ~golden_out:(Buffer.contents st.out)
 
 (* --- snapshot / fast-forward executor ---
 
-   One rolling Forward-mode machine per (program, category) pair.  For
+   One rolling Forward-phase machine per (program, category) pair.  For
    trial [target], the rolling machine advances fault-free until it
    pauses just before the target's execution unit; its machine state
    (frames, counters, output) is copied and its memory frozen into a
@@ -2518,92 +2429,43 @@ let record_journal ?fast (c : compiled) ~inputs =
 
 type ff = {
   ff_c : compiled;
-  ff_inputs : int array;
-  ff_mask : int;
   ff_rejoin : Rejoin.t option;
   ff_fops : opfn array;  (* [||] when the ff runs interpreted *)
   mutable ff_st : state;
+  mutable ff_fwd : Phase.fwd;  (* [ff_st]'s Forward payload *)
 }
 
-let forward_state (c : compiled) ~inputs ~inj_mask =
+(* The rolling machine at step 0.  It maintains the memory accumulator
+   (but never probes: it is fault-free) so each trial can fork with a
+   live digest. *)
+let roll_state (c : compiled) rejoin ~inputs ~inj_mask =
+  let fwd = Phase.forward () in
   let st =
-    {
-      mem = init_memory c;
-      out = Buffer.create 4096;
-      inputs;
-      max_steps = max_int;
-      steps = 0;
-      sp = Memory.stack_top;
-      depth = 0;
-      mode = Forward;
-      countdown = -1;
-      inj_mask;
-      inj_rng = Rng.of_int 0;
-      injected = false;
-      injected_step = -1;
-      fault_note = "";
-      trace = None;
-      track_use = false;
-      fu_watch = FU_off;
-      first_use = First_use.Unone;
-      fault_site = -1;
-      stack = [];
-      ff_stop = -1;
-      matched = 0;
-      forced_bit = -1;
-      model = Fault_model.Bitflip;
-      skip_capture = false;
-      cap_i = 0;
-      cap_f = 0.0;
-      enum_rev = [];
-      rej = None;
-    }
+    fresh_state ~inj_mask
+      ?rej:(Option.map (fun _ -> new_rej ()) rejoin)
+      c ~inputs ~max_steps:max_int (Phase.Forward fwd)
   in
-  push_frame st c.cfuncs.(c.main_index) [||] None;
-  st
-
-(* The rolling machine maintains the memory accumulator (but never
-   probes: it is fault-free) so each trial can fork with a live
-   digest. *)
-let forward_with_rej (c : compiled) ~inputs ~inj_mask rejoin =
-  let st = forward_state c ~inputs ~inj_mask in
-  (match rejoin with
-  | None -> ()
-  | Some _ ->
-    st.rej <-
-      Some
-        {
-          rj_acc = 0;
-          rj_cnt = 0;
-          rj_journal = None;
-          rj_rec = None;
-          rj_seen = None;
-        });
-  st
+  (st, fwd)
 
 let ff_create (c : compiled) ?rejoin ?fast ~inputs ~inj_mask () =
-  {
-    ff_c = c;
-    ff_inputs = inputs;
-    ff_mask = inj_mask;
-    ff_rejoin = rejoin;
-    ff_fops = fops_of fast;
-    ff_st = forward_with_rej c ~inputs ~inj_mask rejoin;
-  }
+  let st, fwd = roll_state c rejoin ~inputs ~inj_mask in
+  { ff_c = c; ff_rejoin = rejoin; ff_fops = fops_of fast; ff_st = st; ff_fwd = fwd }
 
-let ff_trial ?(track_use = false) ?(forced_bit = -1)
-    ?(model = Fault_model.Bitflip) ff ~target ~max_steps ~rng =
+let ff_trial ff ~fault ~target ~max_steps ~rng =
   if target < 0 then invalid_arg "Ir_exec.ff_trial: negative target";
   Obs.Metrics.incr m_ff_trials;
   (* Monotonic fast path; a smaller target restarts the rolling run. *)
-  if target < ff.ff_st.matched then begin
+  if target < ff.ff_fwd.matched then begin
     Obs.Metrics.incr m_ff_rebuilds;
-    ff.ff_st <-
-      forward_with_rej ff.ff_c ~inputs:ff.ff_inputs ~inj_mask:ff.ff_mask
-        ff.ff_rejoin
+    let old = ff.ff_st in
+    let st, fwd =
+      roll_state ff.ff_c ff.ff_rejoin ~inputs:old.inputs ~inj_mask:old.inj_mask
+    in
+    ff.ff_st <- st;
+    ff.ff_fwd <- fwd
   end;
   let roll = ff.ff_st in
-  roll.ff_stop <- target;
+  ff.ff_fwd.ff_stop <- target;
   let advance () =
     if exec_frames ~fops:ff.ff_fops ff.ff_c roll then
       invalid_arg "Ir_exec.ff_trial: target beyond the category's population"
@@ -2619,47 +2481,24 @@ let ff_trial ?(track_use = false) ?(forced_bit = -1)
   Obs.Metrics.observe m_checkpoint_depth (Memory.snapshot_depth snap);
   let out = Buffer.create (Buffer.length roll.out + 1024) in
   Buffer.add_buffer out roll.out;
+  let countdown = target - ff.ff_fwd.matched in
+  let phase = Phase.injecting ~countdown ~rng fault in
+  (* The fork: the paused rolling machine with private frames, a
+     copy-on-write memory view and the Inject phase.  Its injection
+     bookkeeping is still pristine — the roll never injects. *)
   let st =
     {
+      roll with
       mem = Memory.resume snap;
       out;
-      inputs = roll.inputs;
       max_steps;
-      steps = roll.steps;
-      sp = roll.sp;
-      depth = roll.depth;
-      mode = Inject;
-      countdown = target - roll.matched;
-      inj_mask = ff.ff_mask;
-      inj_rng = rng;
-      injected = false;
-      injected_step = -1;
-      fault_note = "";
-      trace = None;
-      track_use;
-      fu_watch = FU_off;
-      first_use = First_use.Unone;
-      fault_site = -1;
+      phase;
+      track_use = fault.track_use;
       stack = List.map copy_frame roll.stack;
-      ff_stop = -1;
-      matched = 0;
-      forced_bit;
-      model;
-      skip_capture = (model = Fault_model.Skip);
-      cap_i = 0;
-      cap_f = 0.0;
-      enum_rev = [];
+      skip_capture = Phase.skip_capture phase;
       rej =
         (match (ff.ff_rejoin, roll.rej) with
-        | Some j, Some r ->
-          Some
-            {
-              rj_acc = r.rj_acc;
-              rj_cnt = 0;
-              rj_journal = Some j;
-              rj_rec = None;
-              rj_seen = None;
-            }
+        | Some j, Some r -> Some (new_rej ~journal:j ~acc:r.rj_acc ())
         | _ -> None);
     }
   in

@@ -3,10 +3,11 @@
     A program is {!compile}d once into a dispatch-friendly form and can
     then be {!run} many times cheaply — once per fault-injection trial.
 
-    Run modes: plain (golden runs), profiling (count dynamic instances
-    per category bitmask — paper step 1), injection (flip one bit of the
-    destination of the [target]-th dynamic instance matching the category
-    mask — paper step 3), and optional propagation tracing.
+    Run modes ({!mode}): golden, profiling (count dynamic instances
+    per category bitmask — paper step 1), injection (corrupt the
+    destination of the [target]-th dynamic instance matching the
+    category mask — paper step 3), each with optional propagation
+    tracing.
 
     Category semantics are supplied by the caller as a [classify]
     function so the injector policy ({!Core.Llfi}) stays outside the VM. *)
@@ -19,7 +20,7 @@ type compiled
     (memory image, output buffer, step counters, injection bookkeeping),
     so concurrent [run]s of the same [compiled] value from multiple
     domains are safe.  The mutable values a run does touch are the ones
-    passed in — [plan.rng], [profile_masks], [trace] — which therefore
+    passed in — [plan.rng], profile arrays, [trace] — which therefore
     must not be shared between concurrent runs. *)
 
 val compile : ?classify:(Ir.Func.t -> Ir.Instr.t -> int) -> Ir.Prog.t -> compiled
@@ -45,7 +46,7 @@ val sites : compiled -> site array
 
 val gid_limit : compiled -> int
 (** One past the largest program-wide instruction id — the length to
-    allocate for a [profile_sites] array. *)
+    allocate for a [Profile_sites] array. *)
 
 type plan = {
   inj_mask : int;  (** category bit(s) to match *)
@@ -78,41 +79,40 @@ type fast
 val compile_fast : compiled -> fast
 (** One-time translation; O(program size). *)
 
-val run :
-  ?plan:plan ->
-  ?model:Fault_model.t ->
-  ?forced_bit:int ->
-  ?inputs:int array ->
-  ?max_steps:int ->
-  ?profile_masks:int array ->
-  ?profile_sites:int array ->
-  ?trace:trace ->
-  ?track_use:bool ->
-  ?fast:fast ->
-  compiled ->
-  Outcome.stats
-(** Execute [main] on a fresh memory image.
+(** What a {!run} is for: the paper's two phases — a fault-free
+    profiling run that counts dynamic instances (Figure 1, step 1),
+    then one injection run per trial (step 3) — plus a plain golden
+    run.  One mode per run, so no combination needs rejecting. *)
+type mode =
+  | Golden  (** fault-free run; only the stats *)
+  | Profile of int array
+      (** fault-free profiling run: dynamic counts per category
+          bitmask, into an array of length [2^categories] *)
+  | Profile_sites of int array
+      (** fault-free profiling run: execution counts per static
+          instruction (gid) for injection candidates and phis — the
+          per-site population the coverage report rests on — into an
+          array of length {!gid_limit} *)
+  | Inject of plan * Fault_model.fault
+      (** one injection into the destination of the [plan.target]-th
+          dynamic instance matching [plan.inj_mask].  The fault's
+          [model] is the corruption — the paper's single-bit flip,
+          multi-bit, stuck-at, write suppression ([Skip]) or
+          full-value replacement ([Load_value]); [forced_bit] pins
+          the faulted bit instead of drawing it from [plan.rng]
+          (exhaustive replay); [track_use] classifies what the
+          corrupted value flows into first ({!First_use.t}) into
+          [stats.first_use], adding no per-instruction work when
+          off. *)
 
-    - [plan]: perform one fault injection (exclusive with profiling);
-    - [model] (default {!Fault_model.Bitflip}): the corruption applied
-      at the planned target — multi-bit, stuck-at, write suppression
-      ([Skip]) or full-value replacement ([Load_value]).  The default
-      reproduces the paper's single-bit flip exactly (same draws, same
-      notes);
-    - [forced_bit]: pin the flipped bit instead of drawing it from
-      [plan.rng] (exhaustive replay); default -1 draws as usual;
+val run :
+  ?inputs:int array -> ?max_steps:int -> ?trace:trace -> ?fast:fast ->
+  mode -> compiled -> Outcome.stats
+(** Execute [main] on a fresh memory image in [mode].
+
     - [inputs]: the vector served by the [input] intrinsic;
     - [max_steps]: hang budget (default 10^8);
-    - [profile_masks]: array of length [2^categories] receiving dynamic
-      counts per category bitmask;
-    - [profile_sites]: array of length {!gid_limit} receiving dynamic
-      execution counts per static instruction (gid), for injection
-      candidates and phis — the per-site population the coverage report
-      rests on.  Profiling-mode only, like [profile_masks];
     - [trace]: record a propagation trace into the given buffer;
-    - [track_use] (default false): classify what the corrupted value
-      flows into first ({!First_use.t}); reported in
-      [stats.first_use].  Adds no per-instruction work when off;
     - [fast]: execute through the closure-compiled tier (must have
       been built from this same [compiled] value); identical results,
       a fraction of the dispatch cost. *)
@@ -154,22 +154,15 @@ val ff_create :
     byte-identical output, a fraction of the steps. *)
 
 val ff_trial :
-  ?track_use:bool ->
-  ?forced_bit:int ->
-  ?model:Fault_model.t ->
-  ff ->
-  target:int ->
-  max_steps:int ->
-  rng:Support.Rng.t ->
-  Outcome.stats
-(** Run one injection trial against the [target]-th matching dynamic
-    instance, resuming from the rolling machine.  [rng] must be
-    positioned exactly as {!run}'s [plan.rng] would be (it only draws
-    the bit to flip).  Targets may arrive in any order — a smaller
-    target than an earlier one restarts the rolling run from step 0 —
-    but ascending order is the fast path.  [forced_bit] pins the
-    flipped bit (exhaustive replay); default -1 draws from [rng].
-    [model] selects the fault model, as {!run}.
+  ff -> fault:Fault_model.fault -> target:int -> max_steps:int ->
+  rng:Support.Rng.t -> Outcome.stats
+(** The {!run} of [Inject (plan, fault)] for the plan with this
+    [target] and [rng] and the [ff]'s category, resumed from the
+    rolling machine.  [rng] must be positioned exactly as that
+    [plan.rng] would be (it only draws the faulted bit).  Targets may
+    arrive in any order — a smaller target than an earlier one
+    restarts the rolling run from step 0 — but ascending order is the
+    fast path.
     @raise Invalid_argument if [target] is negative or at least the
     category's dynamic population. *)
 

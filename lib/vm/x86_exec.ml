@@ -34,12 +34,20 @@ let paper_policy = { flag_dependent_bits = true; xmm_low64_only = true }
 type plan = { inj_mask : int; target : int; rng : Rng.t; policy : policy }
 
 type mode =
-  | Plain
+  | Golden
   | Profile of int array  (* dynamic count per category bitmask *)
   | Profile_index of int array  (* dynamic count per instruction index *)
-  | Inject
-  | Forward  (* fast-forward: count matching instances, pause at ff_stop *)
-  | Enumerate  (* fault-space pre-pass: per-instance Fault_space records *)
+  | Inject of plan * Fault_model.fault
+
+(* Fault-space pre-pass state (the [Enumerate] phase payload): the
+   live instance per register and the records, newest first. *)
+type enum = {
+  e_gp : Fault_space.builder option array;
+  e_xmm : Fault_space.builder option array;
+  mutable e_flags : (Fault_space.builder * int list) option;
+      (* live flags instance + the candidate bit list fixed at injection *)
+  mutable enum_rev : Fault_space.builder list;
+}
 
 type watch = No_watch | Watch_gp of Reg.t | Watch_xmm of Reg.t | Watch_flags
 
@@ -71,10 +79,8 @@ type machine = {
   inputs : int array;
   max_steps : int;
   mutable steps : int;
-  mode : mode;
-  mutable countdown : int;
+  phase : enum Phase.t;  (* what the run is for, with its own state *)
   inj_mask : int;
-  inj_rng : Rng.t;
   policy : policy;
   mutable injected : bool;
   mutable injected_step : int;
@@ -84,21 +90,10 @@ type machine = {
   track_use : bool;  (* classify the corrupted value's first consumer *)
   mutable first_use : First_use.t;
   mutable fault_site : int;  (* instruction index of the injection *)
-  mutable ff_stop : int;  (* forward mode: pause before instance > stop *)
-  mutable matched : int;  (* forward mode: matching instances executed *)
-  forced_bit : int;  (* >= 0: exhaustive replay pins the flipped bit *)
-  model : Fault_model.t;  (* corruption applied at the injection site *)
   skip_capture : bool;
       (* Inject mode under [Skip]: capture the destination before the
          targeted instruction so [inject] can suppress its write *)
-  mutable cap_i : int;  (* captured GP / flags destination value *)
-  mutable cap_f : float;  (* captured XMM destination value *)
   mutable rej : rej option;  (* rejoin digest context, if enabled *)
-  e_gp : Fault_space.builder option array;  (* Enumerate: live per reg *)
-  e_xmm : Fault_space.builder option array;
-  mutable e_flags : (Fault_space.builder * int list) option;
-      (* live flags instance + the candidate bit list fixed at injection *)
-  mutable enum_rev : Fault_space.builder list;
 }
 
 let output_cap = 1 lsl 20
@@ -203,69 +198,57 @@ let flag_candidates m (loaded : loaded) =
 
 let set_word v bit b = if b then v lor (1 lsl bit) else v land lnot (1 lsl bit)
 
-let draw_word m =
-  Int64.to_int (Int64.shift_right_logical (Rng.next_int64 m.inj_rng) 1)
-
 (* Pre-capture the targeted instruction's destination so a [Skip]
    injection can restore it after the write executed. *)
-let capture_dest m insn =
+let capture_dest m (inj : Phase.inj) insn =
   match primary_dest insn with
-  | Dgp r -> m.cap_i <- m.gp.(r)
-  | Dxmm r -> m.cap_f <- m.xmm.(r)
-  | Dflags -> m.cap_i <- m.flags
+  | Dgp r -> inj.cap_i <- m.gp.(r)
+  | Dxmm r -> inj.cap_f <- m.xmm.(r)
+  | Dflags -> inj.cap_i <- m.flags
   | Dnone -> ()
 
-let inject m (loaded : loaded) insn =
+let inject m (inj : Phase.inj) (loaded : loaded) insn =
   m.injected <- true;
   m.injected_step <- m.steps;
   match primary_dest insn with
-  | Dgp r -> (
-    let draw () =
-      if m.forced_bit >= 0 then m.forced_bit else Rng.int m.inj_rng Word.width
-    in
-    match m.model with
-    | Fault_model.Bitflip ->
-      let bit = draw () in
-      m.gp.(r) <- Word.flip_bit m.gp.(r) bit;
-      m.watch <- Watch_gp r;
-      m.fault_note <- Printf.sprintf "bit %d of %s" bit Reg.gp_names.(r)
-    | Fault_model.Multi_bit n ->
-      let bit = draw () in
-      m.gp.(r) <- Word.flip_bit m.gp.(r) bit;
-      for _ = 2 to n do
-        m.gp.(r) <- Word.flip_bit m.gp.(r) (Rng.int m.inj_rng Word.width)
-      done;
-      m.watch <- Watch_gp r;
-      m.fault_note <-
-        Printf.sprintf "bit %d of %s (+%d more)" bit Reg.gp_names.(r) (n - 1)
-    | Fault_model.Stuck_at_0 | Fault_model.Stuck_at_1 ->
-      let b = m.model = Fault_model.Stuck_at_1 in
-      let bit = draw () in
-      m.gp.(r) <- set_word m.gp.(r) bit b;
-      m.watch <- Watch_gp r;
-      m.fault_note <-
-        Printf.sprintf "bit %d of %s stuck at %d" bit Reg.gp_names.(r)
-          (if b then 1 else 0)
-    | Fault_model.Skip ->
-      m.gp.(r) <- m.cap_i;
-      m.watch <- Watch_gp r;
-      m.fault_note <- Printf.sprintf "write of %s skipped" Reg.gp_names.(r)
-    | Fault_model.Load_value ->
-      m.gp.(r) <- draw_word m;
-      m.watch <- Watch_gp r;
-      m.fault_note <- Printf.sprintf "value of %s randomized" Reg.gp_names.(r))
+  | Dgp r ->
+    let draw () = Phase.draw_bit inj Word.width in
+    let name = Reg.gp_names.(r) in
+    m.watch <- Watch_gp r;
+    m.fault_note <-
+      (match inj.model with
+      | Fault_model.Bitflip ->
+        let bit = draw () in
+        m.gp.(r) <- Word.flip_bit m.gp.(r) bit;
+        Printf.sprintf "bit %d of %s" bit name
+      | Fault_model.Multi_bit n ->
+        let bit = draw () in
+        m.gp.(r) <- Word.flip_bit m.gp.(r) bit;
+        for _ = 2 to n do
+          m.gp.(r) <- Word.flip_bit m.gp.(r) (Rng.int inj.rng Word.width)
+        done;
+        Printf.sprintf "bit %d of %s (+%d more)" bit name (n - 1)
+      | Fault_model.Stuck_at_0 | Fault_model.Stuck_at_1 ->
+        let b = inj.model = Fault_model.Stuck_at_1 in
+        let bit = draw () in
+        m.gp.(r) <- set_word m.gp.(r) bit b;
+        Printf.sprintf "bit %d of %s stuck at %d" bit name (Bool.to_int b)
+      | Fault_model.Skip ->
+        m.gp.(r) <- inj.cap_i;
+        Printf.sprintf "write of %s skipped" name
+      | Fault_model.Load_value ->
+        m.gp.(r) <- Phase.draw_word inj Word.width;
+        Printf.sprintf "value of %s randomized" name)
   | Dxmm r -> (
     let range = if m.policy.xmm_low64_only then 64 else 128 in
-    let draw () =
-      if m.forced_bit >= 0 then m.forced_bit else Rng.int m.inj_rng range
-    in
+    let draw () = Phase.draw_bit inj range in
     (* Upper half of the XMM register: unused by scalar double code, so
        a fault confined there can never be activated. *)
     let xnote bit tail =
       if bit < 64 then Printf.sprintf "bit %d of xmm%d%s" bit r tail
       else Printf.sprintf "bit %d of xmm%d (upper half)%s" bit r tail
     in
-    match m.model with
+    match inj.model with
     | Fault_model.Bitflip ->
       let bit = draw () in
       if bit < 64 then begin
@@ -288,12 +271,12 @@ let inject m (loaded : loaded) insn =
       let bit = draw () in
       apply bit;
       for _ = 2 to n do
-        apply (Rng.int m.inj_rng range)
+        apply (Rng.int inj.rng range)
       done;
       m.watch <- (if !touched then Watch_xmm r else No_watch);
       m.fault_note <- xnote bit (Printf.sprintf " (+%d more)" (n - 1))
     | Fault_model.Stuck_at_0 | Fault_model.Stuck_at_1 ->
-      let b = m.model = Fault_model.Stuck_at_1 in
+      let b = inj.model = Fault_model.Stuck_at_1 in
       let bit = draw () in
       if bit < 64 then begin
         m.xmm.(r) <-
@@ -305,51 +288,47 @@ let inject m (loaded : loaded) insn =
       m.fault_note <-
         xnote bit (Printf.sprintf " stuck at %d" (if b then 1 else 0))
     | Fault_model.Skip ->
-      m.xmm.(r) <- m.cap_f;
+      m.xmm.(r) <- inj.cap_f;
       m.watch <- Watch_xmm r;
       m.fault_note <- Printf.sprintf "write of xmm%d skipped" r
     | Fault_model.Load_value ->
-      m.xmm.(r) <- Int64.float_of_bits (Rng.next_int64 m.inj_rng);
+      m.xmm.(r) <- Int64.float_of_bits (Rng.next_int64 inj.rng);
       m.watch <- Watch_xmm r;
       m.fault_note <- Printf.sprintf "value of xmm%d randomized" r)
-  | Dflags -> (
+  | Dflags ->
     let candidates = flag_candidates m loaded in
     let ncand = List.length candidates in
     (* A pinned bit indexes the candidate list, mirroring the draw. *)
-    let pick () =
-      if m.forced_bit >= 0 then m.forced_bit else Rng.int m.inj_rng ncand
-    in
-    match m.model with
-    | Fault_model.Bitflip ->
-      let bit = List.nth candidates (pick ()) in
-      m.flags <- m.flags lxor (1 lsl bit);
-      m.watch <- Watch_flags;
-      m.fault_note <- Printf.sprintf "flag bit %d" bit
-    | Fault_model.Multi_bit n ->
-      let bit = List.nth candidates (pick ()) in
-      m.flags <- m.flags lxor (1 lsl bit);
-      for _ = 2 to n do
-        let b = List.nth candidates (Rng.int m.inj_rng ncand) in
-        m.flags <- m.flags lxor (1 lsl b)
-      done;
-      m.watch <- Watch_flags;
-      m.fault_note <- Printf.sprintf "flag bit %d (+%d more)" bit (n - 1)
-    | Fault_model.Stuck_at_0 | Fault_model.Stuck_at_1 ->
-      let b = m.model = Fault_model.Stuck_at_1 in
-      let bit = List.nth candidates (pick ()) in
-      m.flags <- set_word m.flags bit b;
-      m.watch <- Watch_flags;
-      m.fault_note <-
-        Printf.sprintf "flag bit %d stuck at %d" bit (if b then 1 else 0)
-    | Fault_model.Skip ->
-      m.flags <- m.cap_i;
-      m.watch <- Watch_flags;
-      m.fault_note <- "flags write skipped"
-    | Fault_model.Load_value ->
-      let v = Rng.int m.inj_rng (1 lsl ncand) in
-      List.iteri (fun i bit -> m.flags <- set_word m.flags bit (v lsr i land 1 = 1)) candidates;
-      m.watch <- Watch_flags;
-      m.fault_note <- Printf.sprintf "flag value %d of %d candidates" v ncand)
+    let pick () = Phase.draw_bit inj ncand in
+    m.watch <- Watch_flags;
+    m.fault_note <-
+      (match inj.model with
+      | Fault_model.Bitflip ->
+        let bit = List.nth candidates (pick ()) in
+        m.flags <- m.flags lxor (1 lsl bit);
+        Printf.sprintf "flag bit %d" bit
+      | Fault_model.Multi_bit n ->
+        let bit = List.nth candidates (pick ()) in
+        m.flags <- m.flags lxor (1 lsl bit);
+        for _ = 2 to n do
+          let b = List.nth candidates (Rng.int inj.rng ncand) in
+          m.flags <- m.flags lxor (1 lsl b)
+        done;
+        Printf.sprintf "flag bit %d (+%d more)" bit (n - 1)
+      | Fault_model.Stuck_at_0 | Fault_model.Stuck_at_1 ->
+        let b = inj.model = Fault_model.Stuck_at_1 in
+        let bit = List.nth candidates (pick ()) in
+        m.flags <- set_word m.flags bit b;
+        Printf.sprintf "flag bit %d stuck at %d" bit (Bool.to_int b)
+      | Fault_model.Skip ->
+        m.flags <- inj.cap_i;
+        "flags write skipped"
+      | Fault_model.Load_value ->
+        let v = Rng.int inj.rng (1 lsl ncand) in
+        List.iteri
+          (fun i bit -> m.flags <- set_word m.flags bit (v lsr i land 1 = 1))
+          candidates;
+        Printf.sprintf "flag value %d of %d candidates" v ncand)
   | Dnone -> m.watch <- No_watch
 
 (* --- first-use classification (the paper's Section V cause classes) ---
@@ -463,9 +442,9 @@ let update_watch m insn =
    a single-fault trial targeting a tracked instance would observe for
    every operand other than the corrupted one. *)
 
-let enum_scan m (insn : Insn.t) =
-  let rd_gp r k = match m.e_gp.(r) with Some b -> k b | None -> () in
-  let rd_xmm r k = match m.e_xmm.(r) with Some b -> k b | None -> () in
+let enum_scan m en (insn : Insn.t) =
+  let rd_gp r k = match en.e_gp.(r) with Some b -> k b | None -> () in
+  let rd_xmm r k = match en.e_xmm.(r) with Some b -> k b | None -> () in
   let full_gp r = rd_gp r Fault_space.read_full in
   let full_xmm r = rd_xmm r Fault_space.read_full in
   (* Cmp/Test funnel: the flipped register reaches downstream machine
@@ -488,7 +467,7 @@ let enum_scan m (insn : Insn.t) =
   in
   (* flags reads: a lone Jcc/Setcc funnels through the condition *)
   (if Insn.reads_flags insn then
-     match m.e_flags with
+     match en.e_flags with
      | Some (b, candidates) -> (
        match insn with
        | Insn.Jcc (c, _) | Insn.Setcc (c, _) ->
@@ -555,24 +534,24 @@ let enum_scan m (insn : Insn.t) =
     List.iter full_xmm xu);
   (* overwrites end tracked lifetimes *)
   let gd, _, xd, _ = Insn.def_use insn in
-  List.iter (fun r -> m.e_gp.(r) <- None) gd;
-  List.iter (fun r -> m.e_xmm.(r) <- None) xd;
-  if Insn.writes_flags insn then m.e_flags <- None
+  List.iter (fun r -> en.e_gp.(r) <- None) gd;
+  List.iter (fun r -> en.e_xmm.(r) <- None) xd;
+  if Insn.writes_flags insn then en.e_flags <- None
 
 (* Post-exec instance start, mirroring [inject]'s view of the machine
    (rip already advanced / redirected) so candidate flag bits match. *)
-let enum_start m (loaded : loaded) insn =
+let enum_start m en (loaded : loaded) insn =
   match primary_dest insn with
   | Dgp r ->
     let gold = Int64.logand (Int64.of_int m.gp.(r)) (Bits.mask_width Word.width) in
     let b = Fault_space.create ~gold ~width:Word.width in
-    m.enum_rev <- b :: m.enum_rev;
-    m.e_gp.(r) <- Some b
+    en.enum_rev <- b :: en.enum_rev;
+    en.e_gp.(r) <- Some b
   | Dxmm r ->
     let width = if m.policy.xmm_low64_only then 64 else 128 in
     let b = Fault_space.create ~gold:(Int64.bits_of_float m.xmm.(r)) ~width in
-    m.enum_rev <- b :: m.enum_rev;
-    m.e_xmm.(r) <- Some b
+    en.enum_rev <- b :: en.enum_rev;
+    en.e_xmm.(r) <- Some b
   | Dflags ->
     let candidates = flag_candidates m loaded in
     let gold = ref 0L in
@@ -582,11 +561,11 @@ let enum_start m (loaded : loaded) insn =
           gold := Int64.logor !gold (Int64.shift_left 1L i))
       candidates;
     let b = Fault_space.create ~gold:!gold ~width:(List.length candidates) in
-    m.enum_rev <- b :: m.enum_rev;
-    m.e_flags <- Some (b, candidates)
+    en.enum_rev <- b :: en.enum_rev;
+    en.e_flags <- Some (b, candidates)
   | Dnone ->
     (* occupies a countdown index; zero reads = never activated *)
-    m.enum_rev <- Fault_space.create ~gold:0L ~width:1 :: m.enum_rev
+    en.enum_rev <- Fault_space.create ~gold:0L ~width:1 :: en.enum_rev
 
 (* --- rejoin digest maintenance (see Rejoin) ---
 
@@ -1337,7 +1316,7 @@ let rejoin_post m rj pre =
       end)
     | _ -> ())
 
-(* The fetch-execute loop.  Returns normally only when a Forward-mode
+(* The fetch-execute loop.  Returns normally only when a Forward-phase
    machine pauses: just before the matching instruction that would make
    [matched] exceed [ff_stop] ([rip] still points at it, nothing about
    the pending instruction has executed).  All other exits are
@@ -1350,47 +1329,55 @@ let run_machine ?fast (loaded : loaded) m =
   let resolved = p.resolved in
   let masks = loaded.masks in
   let n = Array.length insns in
-  let forward = match m.mode with Forward -> true | _ -> false in
-  let enum = match m.mode with Enumerate -> true | _ -> false in
+  (* The phase payloads the pre-exec checks read, matched once. *)
+  let fw = match m.phase with Phase.Forward f -> Some f | _ -> None in
+  let en = match m.phase with Phase.Enumerate e -> Some e | _ -> None in
   let paused = ref false in
   while not !paused do
     let idx = m.rip in
     if idx < 0 || idx >= n then
       Trap.raise_trap (Trap.Invalid_jump (Backend.Program.addr_of_index p idx));
-    if forward && masks.(idx) land m.inj_mask <> 0 && m.matched >= m.ff_stop
+    if
+      match fw with
+      | Some f -> masks.(idx) land m.inj_mask <> 0 && f.matched >= f.ff_stop
+      | None -> false
     then paused := true
     else begin
       let insn = insns.(idx) in
       m.steps <- m.steps + 1;
       if m.steps > m.max_steps then raise Outcome.Hang_limit;
       if m.watch <> No_watch then update_watch m insn;
-      if enum then enum_scan m insn;
+      (match en with Some e -> enum_scan m e insn | None -> ());
       let pre =
         match m.rej with None -> 0 | Some rj -> rejoin_pre m insn rj idx
       in
-      if m.skip_capture && m.countdown = 0 && masks.(idx) land m.inj_mask <> 0
-      then capture_dest m insn;
+      (if m.skip_capture then
+         match m.phase with
+         | Phase.Injecting inj
+           when inj.countdown = 0 && masks.(idx) land m.inj_mask <> 0 ->
+           capture_dest m inj insn
+         | _ -> ());
       m.rip <- idx + 1;
       if use_c then (Array.unsafe_get cexec idx) m
       else exec_insn m loaded insn resolved.(idx);
-      (match m.mode with
-      | Plain -> ()
-      | Enumerate ->
-        if masks.(idx) land m.inj_mask <> 0 then enum_start m loaded insn
-      | Forward ->
-        if masks.(idx) land m.inj_mask <> 0 then m.matched <- m.matched + 1
-      | Profile counts ->
+      (match m.phase with
+      | Phase.Plain -> ()
+      | Phase.Enumerate e ->
+        if masks.(idx) land m.inj_mask <> 0 then enum_start m e loaded insn
+      | Phase.Forward f ->
+        if masks.(idx) land m.inj_mask <> 0 then f.matched <- f.matched + 1
+      | Phase.Counting counts ->
         let mask = masks.(idx) in
         counts.(mask) <- counts.(mask) + 1
-      | Profile_index counts -> counts.(idx) <- counts.(idx) + 1
-      | Inject ->
+      | Phase.Counting_sites counts -> counts.(idx) <- counts.(idx) + 1
+      | Phase.Injecting inj ->
         let mask = masks.(idx) in
         if mask land m.inj_mask <> 0 then begin
-          if m.countdown = 0 then begin
+          if inj.countdown = 0 then begin
             m.fault_site <- idx;
-            inject m loaded insn
+            inject m inj loaded insn
           end;
-          m.countdown <- m.countdown - 1
+          inj.countdown <- inj.countdown - 1
         end);
       match m.rej with None -> () | Some rj -> rejoin_post m rj pre
     end
@@ -1426,13 +1413,21 @@ let finish_machine ?fast (loaded : loaded) m =
     first_use = m.first_use;
   }
 
-let make_machine ?(forced_bit = -1) ?(model = Fault_model.Bitflip)
-    (loaded : loaded) ~inputs ~max_steps ~mode ~countdown ~inj_mask ~inj_rng
-    ~policy ~track_use =
+let new_rej ?journal ?recorder ?(acc = 0) store =
+  {
+    rj_store = store;
+    rj_acc = acc;
+    rj_journal = journal;
+    rj_rec = recorder;
+    rj_waddr = -1;
+    rj_wbytes = 0;
+    rj_seen = None;
+  }
+
+(* A fresh machine at the program entry. *)
+let make_machine ?(inj_mask = 0) ?(policy = paper_policy) ?(track_use = false)
+    ?rej (loaded : loaded) ~inputs ~max_steps phase =
   let p = loaded.program in
-  let e_regs () =
-    match mode with Enumerate -> Array.make 16 None | _ -> [||]
-  in
   let m =
     {
       mem = init_memory p;
@@ -1444,10 +1439,8 @@ let make_machine ?(forced_bit = -1) ?(model = Fault_model.Bitflip)
       inputs;
       max_steps;
       steps = 0;
-      mode;
-      countdown;
+      phase;
       inj_mask;
-      inj_rng;
       policy;
       injected = false;
       injected_step = -1;
@@ -1457,19 +1450,8 @@ let make_machine ?(forced_bit = -1) ?(model = Fault_model.Bitflip)
       track_use;
       first_use = First_use.Unone;
       fault_site = -1;
-      ff_stop = -1;
-      matched = 0;
-      forced_bit;
-      model;
-      skip_capture =
-        (match mode with Inject -> model = Fault_model.Skip | _ -> false);
-      cap_i = 0;
-      cap_f = 0.0;
-      rej = None;
-      e_gp = e_regs ();
-      e_xmm = e_regs ();
-      e_flags = None;
-      enum_rev = [];
+      skip_capture = Phase.skip_capture phase;
+      rej;
     }
   in
   (* Startup: rsp points at the pushed "halt" return address. *)
@@ -1477,67 +1459,57 @@ let make_machine ?(forced_bit = -1) ?(model = Fault_model.Bitflip)
   Memory.write_word m.mem m.gp.(Reg.rsp) (Backend.Program.halt_addr p);
   m
 
-let run ?plan ?(model = Fault_model.Bitflip) ?(forced_bit = -1)
-    ?(inputs = [||]) ?(max_steps = 100_000_000) ?profile_masks ?profile_index
-    ?(track_use = false) ?fast (loaded : loaded) =
-  let mode, countdown, inj_mask, inj_rng, policy =
-    match (plan, profile_masks, profile_index) with
-    | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-      invalid_arg "X86_exec.run: profile and inject are mutually exclusive"
-    | Some pl, None, None -> (Inject, pl.target, pl.inj_mask, pl.rng, pl.policy)
-    | None, Some counts, None -> (Profile counts, -1, 0, Rng.of_int 0, paper_policy)
-    | None, None, Some counts ->
-      (Profile_index counts, -1, 0, Rng.of_int 0, paper_policy)
-    | None, None, None -> (Plain, -1, 0, Rng.of_int 0, paper_policy)
-  in
+let run ?(inputs = [||]) ?(max_steps = 100_000_000) ?fast mode
+    (loaded : loaded) =
   let m =
-    make_machine ~forced_bit ~model loaded ~inputs ~max_steps ~mode ~countdown
-      ~inj_mask ~inj_rng ~policy ~track_use
+    match mode with
+    | Golden -> make_machine loaded ~inputs ~max_steps Phase.Plain
+    | Profile counts ->
+      make_machine loaded ~inputs ~max_steps (Phase.Counting counts)
+    | Profile_index counts ->
+      make_machine loaded ~inputs ~max_steps (Phase.Counting_sites counts)
+    | Inject (pl, f) ->
+      make_machine ~inj_mask:pl.inj_mask ~policy:pl.policy
+        ~track_use:f.track_use loaded ~inputs ~max_steps
+        (Phase.injecting ~countdown:pl.target ~rng:pl.rng f)
   in
   finish_machine ?fast loaded m
 
+(* A whole-program golden run in a bookkeeping phase; [what] names the
+   caller in the error raised if the run does not complete. *)
+let run_golden ?fast (loaded : loaded) m ~what =
+  match run_machine ?fast loaded m with
+  | () -> invalid_arg (what ^ ": machine paused unexpectedly")
+  | exception Halt -> ()
+  | exception Trap.Trap _ | (exception Outcome.Hang_limit) ->
+    invalid_arg (what ^ ": golden run did not complete")
+
 (* Record a rejoin journal from one digest-maintaining golden run. *)
 let record_journal ?fast (loaded : loaded) ~inputs =
-  let m =
-    make_machine loaded ~inputs ~max_steps:max_int ~mode:Plain ~countdown:(-1)
-      ~inj_mask:0 ~inj_rng:(Rng.of_int 0) ~policy:paper_policy ~track_use:false
-  in
   let b = Rejoin.builder () in
-  m.rej <-
-    Some
-      {
-        rj_store = store_table loaded;
-        rj_acc = 0;
-        rj_journal = None;
-        rj_rec = Some b;
-        rj_waddr = -1;
-        rj_wbytes = 0;
-        rj_seen = None;
-      };
-  (match run_machine ?fast loaded m with
-  | () -> invalid_arg "X86_exec.record_journal: machine paused unexpectedly"
-  | exception Halt -> ()
-  | exception Trap.Trap _ | (exception Outcome.Hang_limit) ->
-    invalid_arg "X86_exec.record_journal: golden run did not complete");
+  let m =
+    make_machine
+      ~rej:(new_rej ~recorder:b (store_table loaded))
+      loaded ~inputs ~max_steps:max_int Phase.Plain
+  in
+  run_golden ?fast loaded m ~what:"X86_exec.record_journal";
   Rejoin.finish b ~total_steps:m.steps ~golden_out:(Buffer.contents m.out)
 
-(* Fault-space pre-pass: one golden Enumerate-mode run over the cell. *)
+(* Fault-space pre-pass: one golden Enumerate-phase run over the cell. *)
 let enumerate ?(policy = paper_policy) ?fast ~inputs ~inj_mask ~max_steps
     (loaded : loaded) =
+  let regs () = Array.make 16 None in
+  let en = { e_gp = regs (); e_xmm = regs (); e_flags = None; enum_rev = [] } in
   let m =
-    make_machine loaded ~inputs ~max_steps ~mode:Enumerate ~countdown:(-1)
-      ~inj_mask ~inj_rng:(Rng.of_int 0) ~policy ~track_use:false
+    make_machine ~inj_mask ~policy loaded ~inputs ~max_steps
+      (Phase.Enumerate en)
   in
-  (match run_machine ?fast loaded m with
-  | () -> invalid_arg "X86_exec.enumerate: machine paused unexpectedly"
-  | exception Halt -> ()
-  | exception Trap.Trap _ | (exception Outcome.Hang_limit) ->
-    invalid_arg "X86_exec.enumerate: golden run did not complete");
-  Fault_space.finish m.enum_rev
+  run_golden ?fast loaded m ~what:"X86_exec.enumerate";
+  Fault_space.finish en.enum_rev
 
 (* --- snapshot / fast-forward executor ---
 
-   One rolling Forward-mode machine per (program, category) pair: for
+   One rolling Forward-phase machine per (program, category) pair: for
    trial [target] it advances fault-free until it pauses just before
    the target's dynamic instance, then a copy of the register file and
    a copy-on-write view of its memory run the faulty remainder in
@@ -1547,63 +1519,48 @@ let enumerate ?(policy = paper_policy) ?fast ~inputs ~inj_mask ~max_steps
 
 type ff = {
   ff_loaded : loaded;
-  ff_policy : policy;
   ff_fast : fast option;  (* compiled closures for roll + trial dispatch *)
   ff_rejoin : (Rejoin.t * int array) option;
       (* journal + def table; the rolling machine maintains the digest
          so trials can fork with a live accumulator *)
   mutable ff_m : machine;
+  mutable ff_fwd : Phase.fwd;  (* [ff_m]'s Forward payload *)
 }
 
-let forward_machine (loaded : loaded) ?rej_store ~inputs ~inj_mask () =
+(* The rolling machine at step 0; it maintains the memory accumulator
+   (but never probes: it is fault-free) so each trial can fork with a
+   live digest. *)
+let roll_machine ff_loaded ff_rejoin ~policy ~inputs ~inj_mask =
+  let fwd = Phase.forward () in
   let m =
-    make_machine loaded ~inputs ~max_steps:max_int ~mode:Forward ~countdown:(-1)
-      ~inj_mask ~inj_rng:(Rng.of_int 0) ~policy:paper_policy ~track_use:false
+    make_machine ~inj_mask ~policy
+      ?rej:(Option.map (fun (_, st) -> new_rej st) ff_rejoin)
+      ff_loaded ~inputs ~max_steps:max_int (Phase.Forward fwd)
   in
-  (match rej_store with
-  | Some st ->
-    m.rej <-
-      Some
-        {
-          rj_store = st;
-          rj_acc = 0;
-          rj_journal = None;
-          rj_rec = None;
-          rj_waddr = -1;
-          rj_wbytes = 0;
-          rj_seen = None;
-        }
-  | None -> ());
-  m
+  (m, fwd)
 
 let ff_create (loaded : loaded) ?(policy = paper_policy) ?rejoin ?fast ~inputs
     ~inj_mask () =
   let ff_rejoin = Option.map (fun j -> (j, store_table loaded)) rejoin in
-  {
-    ff_loaded = loaded;
-    ff_policy = policy;
-    ff_fast = fast;
-    ff_rejoin;
-    ff_m =
-      forward_machine loaded
-        ?rej_store:(Option.map snd ff_rejoin)
-        ~inputs ~inj_mask ();
-  }
+  let m, fwd = roll_machine loaded ff_rejoin ~policy ~inputs ~inj_mask in
+  { ff_loaded = loaded; ff_fast = fast; ff_rejoin; ff_m = m; ff_fwd = fwd }
 
-let ff_trial ?(track_use = false) ?(forced_bit = -1)
-    ?(model = Fault_model.Bitflip) ff ~target ~max_steps ~rng =
+let ff_trial ff ~fault ~target ~max_steps ~rng =
   if target < 0 then invalid_arg "X86_exec.ff_trial: negative target";
   Obs.Metrics.incr m_ff_trials;
   (* Monotonic fast path; a smaller target restarts the rolling run. *)
-  if target < ff.ff_m.matched then begin
+  if target < ff.ff_fwd.matched then begin
     Obs.Metrics.incr m_ff_rebuilds;
-    ff.ff_m <-
-      forward_machine ff.ff_loaded
-        ?rej_store:(Option.map snd ff.ff_rejoin)
-        ~inputs:ff.ff_m.inputs ~inj_mask:ff.ff_m.inj_mask ()
+    let old = ff.ff_m in
+    let m, fwd =
+      roll_machine ff.ff_loaded ff.ff_rejoin ~policy:old.policy
+        ~inputs:old.inputs ~inj_mask:old.inj_mask
+    in
+    ff.ff_m <- m;
+    ff.ff_fwd <- fwd
   end;
   let roll = ff.ff_m in
-  roll.ff_stop <- target;
+  ff.ff_fwd.ff_stop <- target;
   let advance () =
     match run_machine ?fast:ff.ff_fast ff.ff_loaded roll with
     | () -> ()
@@ -1619,61 +1576,30 @@ let ff_trial ?(track_use = false) ?(forced_bit = -1)
   Obs.Metrics.observe m_checkpoint_depth (Memory.snapshot_depth snap);
   let out = Buffer.create (Buffer.length roll.out + 1024) in
   Buffer.add_buffer out roll.out;
+  let countdown = target - ff.ff_fwd.matched in
+  let phase = Phase.injecting ~countdown ~rng fault in
+  (* The fork: the paused rolling machine with private registers, a
+     copy-on-write memory view and the Inject phase.  Its injection
+     bookkeeping is still pristine — the roll never injects. *)
   let m =
     {
+      roll with
       mem = Memory.resume snap;
       gp = Array.copy roll.gp;
       xmm = Array.copy roll.xmm;
-      flags = roll.flags;
-      rip = roll.rip;
       out;
-      inputs = roll.inputs;
       max_steps;
-      steps = roll.steps;
-      mode = Inject;
-      countdown = target - roll.matched;
-      inj_mask = roll.inj_mask;
-      inj_rng = rng;
-      policy = ff.ff_policy;
-      injected = false;
-      injected_step = -1;
-      activated = false;
-      watch = No_watch;
-      fault_note = "";
-      track_use;
-      first_use = First_use.Unone;
-      fault_site = -1;
-      ff_stop = -1;
-      matched = 0;
-      forced_bit;
-      model;
-      skip_capture = (model = Fault_model.Skip);
-      cap_i = 0;
-      cap_f = 0.0;
-      rej = None;
-      e_gp = [||];
-      e_xmm = [||];
-      e_flags = None;
-      enum_rev = [];
+      phase;
+      track_use = fault.track_use;
+      skip_capture = Phase.skip_capture phase;
+      (* The trial starts on the golden track with the roll's digest
+         and probes the journal once the fault is in. *)
+      rej =
+        (match (ff.ff_rejoin, roll.rej) with
+        | Some (j, st), Some r -> Some (new_rej ~journal:j ~acc:r.rj_acc st)
+        | _ -> None);
     }
   in
-  (match ff.ff_rejoin with
-  | Some (j, defs) ->
-    (* Fork the rolling machine's digest: the trial starts on the
-       golden track and probes the journal once the fault is in. *)
-    let acc = match roll.rej with Some r -> r.rj_acc | None -> 0 in
-    m.rej <-
-      Some
-        {
-          rj_store = defs;
-          rj_acc = acc;
-          rj_journal = Some j;
-          rj_rec = None;
-          rj_waddr = -1;
-          rj_wbytes = 0;
-          rj_seen = None;
-        }
-  | None -> ());
   if Obs.Trace.on () then
     Obs.Trace.span "trial-run"
       ~args:[ ("target", string_of_int target) ]

@@ -13,7 +13,7 @@
     immutable once {!load} returns ([masks] is written only at load
     time) and each {!run} builds a fresh machine record, so concurrent
     runs of one [loaded] program are safe provided the [plan.rng] and
-    profile arrays passed to each run are not shared. *)
+    profile arrays passed in each run's mode are not shared. *)
 type loaded = {
   program : Backend.Program.t;
   masks : int array;  (** per-instruction category bitmask *)
@@ -61,30 +61,33 @@ type fast
 val compile : loaded -> fast
 (** One-time translation; O(program size). *)
 
+(** What a {!run} is for: the paper's two phases plus a plain golden
+    run.  One mode per run, so no combination needs rejecting. *)
+type mode =
+  | Golden  (** fault-free run; only the stats *)
+  | Profile of int array
+      (** fault-free profiling run: dynamic counts per category bitmask,
+          into an array of length [2^categories] *)
+  | Profile_index of int array
+      (** fault-free profiling run: dynamic counts per instruction
+          index (hotspot analysis, per-site coverage), into an array as
+          long as [masks] *)
+  | Inject of plan * Fault_model.fault
+      (** one injection into the [plan.target]-th dynamic instance
+          matching [plan.inj_mask]: the destination register PINFI
+          would corrupt takes the fault's [model] (see
+          {!Ir_exec.mode}).  [forced_bit] pins the faulted bit — for a
+          flags destination, the index into the candidate bit list —
+          instead of drawing it from [plan.rng].  [track_use]
+          classifies the corrupted register's first consumer —
+          address, control, stack (spill / push-pop /
+          rsp-rbp-relative), or data — into [stats.first_use]. *)
+
 val run :
-  ?plan:plan ->
-  ?model:Fault_model.t ->
-  ?forced_bit:int ->
-  ?inputs:int array ->
-  ?max_steps:int ->
-  ?profile_masks:int array ->
-  ?profile_index:int array ->
-  ?track_use:bool ->
-  ?fast:fast ->
-  loaded ->
+  ?inputs:int array -> ?max_steps:int -> ?fast:fast -> mode -> loaded ->
   Outcome.stats
-(** Execute from the program entry on a fresh memory image.
-    [profile_index] counts executions per instruction index (for
-    hotspot analysis); [track_use] (default false) classifies the
-    corrupted register's first consumer into a {!First_use.t} —
-    address, control, stack (spill / push-pop / rsp-rbp-relative),
-    or data — reported in [stats.first_use]; otherwise as
-    {!Ir_exec.run}.  [forced_bit] pins the flipped bit — for a flags
-    destination, the index into the candidate bit list — instead of
-    drawing it from [plan.rng] (exhaustive replay).  [model] (default
-    {!Fault_model.Bitflip}) selects the corruption applied at the
-    planned target, as {!Ir_exec.run}; the default reproduces the
-    paper's single-bit flip exactly. *)
+(** Execute from the program entry on a fresh memory image;
+    [inputs], [max_steps] and [fast] as {!Ir_exec.run}. *)
 
 (** {1 Snapshot / fast-forward execution}
 
@@ -116,15 +119,11 @@ val ff_create :
     same stats, byte-identical output, fraction of the steps. *)
 
 val ff_trial :
-  ?track_use:bool ->
-  ?forced_bit:int ->
-  ?model:Fault_model.t ->
-  ff ->
-  target:int ->
-  max_steps:int ->
-  rng:Support.Rng.t ->
-  Outcome.stats
-(** [model] selects the fault model, as {!run}.
+  ff -> fault:Fault_model.fault -> target:int -> max_steps:int ->
+  rng:Support.Rng.t -> Outcome.stats
+(** The {!run} of [Inject (plan, fault)] for the plan with this
+    [target], [rng] and the [ff]'s category and policy, resumed from
+    the rolling machine.
     @raise Invalid_argument if [target] is negative or at least the
     category's dynamic population. *)
 

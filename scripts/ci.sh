@@ -1,8 +1,9 @@
 #!/bin/sh
-# CI entry point: build, full test suite, then determinism smoke tests
-# of the parallel engine, the snapshot executor, the resume journal,
-# and a bounded differential-fuzzing pass (FUZZ_BUDGET programs,
-# default 200, fixed seeds) with a planted-bug detection check.
+# CI entry point: build, full test suite, the perf-gate self-test, then
+# determinism smoke tests of the parallel engine, the compiled tier,
+# the resume journal, and a bounded differential-fuzzing pass
+# (FUZZ_BUDGET programs, default 200, fixed seeds) with a planted-bug
+# detection check.
 #
 # The smoke campaign runs one workload x one tool x two categories (a
 # 2-cell grid) twice — sequentially and with two worker domains — and
@@ -12,10 +13,10 @@
 # to jobs=1) and trace/manifest artifacts from the jobs=4 run.
 # This is the engine's core guarantee (README "Determinism guarantee")
 # exercised end-to-end through the installed CLI, records included.
-# The same grid is then re-run with --no-snapshot: the snapshot
-# executor must change no byte of any output; --no-compile gets the
-# same treatment (compiled tier vs the tree-walking interpreters, CSV
-# and manifest digests compared at --jobs 1 and 4).  Finally a journaled
+# --no-compile must change no byte of any output (compiled tier vs the
+# tree-walking interpreters, CSV and manifest digests compared at
+# --jobs 1 and 4); the snapshot executor is held to direct from-entry
+# trials by test_core and test_compile.  Finally a journaled
 # campaign is interrupted (journal truncated mid-grid) and resumed,
 # and a resume against a mismatched journal header must be refused.
 set -eu
@@ -27,6 +28,9 @@ dune build @all
 
 echo "== dune runtest =="
 dune runtest
+
+echo "== bench gate self-test: every perf gate fails on a planted breach =="
+sh scripts/test_bench_gate.sh
 
 echo "== determinism smoke: 2-cell campaign, --jobs 1 vs --jobs 2 =="
 tmp=$(mktemp -d)
@@ -100,25 +104,6 @@ awk -v a="$w4" -v b="$w1" 'BEGIN { exit !(a <= b * 1.2) }' || {
 }
 
 echo "OK: jobs scaling byte-identical and --jobs 4 within bounds"
-
-echo "== determinism smoke: snapshot executor vs --no-snapshot =="
-dune exec --no-build bin/fi.exe -- diagnose mcf \
-    --tool llfi -c load -c cmp -n 40 --seed 7 \
-    --no-snapshot \
-    --csv "$tmp/cells-nosnap.csv" \
-    --records "$tmp/records-nosnap.txt" \
-    > "$tmp/report-nosnap.txt"
-
-cmp "$tmp/cells-1.csv" "$tmp/cells-nosnap.csv" || {
-    echo "FAIL: campaign CSV differs between snapshot and --no-snapshot" >&2
-    exit 1
-}
-cmp "$tmp/records-1.txt" "$tmp/records-nosnap.txt" || {
-    echo "FAIL: diagnosis records differ between snapshot and --no-snapshot" >&2
-    exit 1
-}
-
-echo "OK: snapshot executor output byte-identical to the straight-line path"
 
 echo "== determinism smoke: compiled tier vs --no-compile, --jobs 1 and 4 =="
 # The closure-compiled execution tier must change no byte of any

@@ -11,11 +11,11 @@ let compile_both ?(fold_geps = true) src =
   (prog, asm)
 
 let run_ir ?(inputs = [||]) prog =
-  let stats = Vm.Ir_exec.run ~inputs (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run ~inputs Golden (Vm.Ir_exec.compile prog) in
   stats.Vm.Outcome.outcome
 
 let run_asm ?(inputs = [||]) asm =
-  let stats = Vm.X86_exec.run ~inputs (Vm.X86_exec.load asm) in
+  let stats = Vm.X86_exec.run ~inputs Golden (Vm.X86_exec.load asm) in
   stats.Vm.Outcome.outcome
 
 let check_same ?inputs ?fold_geps name src =
@@ -366,8 +366,8 @@ let test_asm_has_more_packed_code () =
     |}
   in
   let prog, asm = compile_both src in
-  let ir_stats = Vm.Ir_exec.run (Vm.Ir_exec.compile prog) in
-  let asm_stats = Vm.X86_exec.run (Vm.X86_exec.load asm) in
+  let ir_stats = Vm.Ir_exec.run Golden (Vm.Ir_exec.compile prog) in
+  let asm_stats = Vm.X86_exec.run Golden (Vm.X86_exec.load asm) in
   Alcotest.(check bool) "both finished" true
     (match (ir_stats.Vm.Outcome.outcome, asm_stats.Vm.Outcome.outcome) with
     | Vm.Outcome.Finished _, Vm.Outcome.Finished _ -> true

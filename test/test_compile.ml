@@ -6,8 +6,9 @@
    same first-use classification, same fault-space enumeration — under
    every run mode, for every workload.  These tests hold the two
    engines against each other at increasing granularity: golden runs,
-   individual injected trials, whole campaign CSVs, and the
-   snapshot x rejoin x compile interplay. *)
+   per-site profiles, propagation traces, individual injected trials,
+   whole campaign CSVs, and the snapshot x rejoin x compile
+   interplay. *)
 
 let tools = [ Core.Campaign.Llfi_tool; Core.Campaign.Pinfi_tool ]
 
@@ -85,7 +86,7 @@ let test_golden_identity () =
         | _ -> Alcotest.failf "%s: plain run did not finish" w.name
       in
       let lp =
-        Vm.Ir_exec.run ~inputs:li.Core.Llfi.inputs li.Core.Llfi.compiled
+        Vm.Ir_exec.run ~inputs:li.Core.Llfi.inputs Golden li.Core.Llfi.compiled
       in
       Alcotest.(check string)
         (w.name ^ ": llfi golden output = plain run")
@@ -94,14 +95,65 @@ let test_golden_identity () =
         (w.name ^ ": llfi golden steps = plain run")
         lp.Vm.Outcome.steps lc.Core.Llfi.golden_steps;
       let pp =
-        Vm.X86_exec.run ~inputs:pi.Core.Pinfi.inputs pi.Core.Pinfi.loaded
+        Vm.X86_exec.run ~inputs:pi.Core.Pinfi.inputs Golden pi.Core.Pinfi.loaded
       in
       Alcotest.(check string)
         (w.name ^ ": pinfi golden output = plain run")
         (finished pp) pc.Core.Pinfi.golden_output;
       Alcotest.(check int)
         (w.name ^ ": pinfi golden steps = plain run")
-        pp.Vm.Outcome.steps pc.Core.Pinfi.golden_steps)
+        pp.Vm.Outcome.steps pc.Core.Pinfi.golden_steps;
+      (* the per-site profiles the coverage report rests on *)
+      let sites fast =
+        let counts = Array.make (Vm.Ir_exec.gid_limit lc.Core.Llfi.compiled) 0 in
+        ignore
+          (Vm.Ir_exec.run ~inputs:lc.Core.Llfi.inputs ?fast
+             (Profile_sites counts) lc.Core.Llfi.compiled);
+        counts
+      in
+      Alcotest.(check (array int))
+        (w.name ^ ": llfi per-site profile")
+        (sites None) (sites lc.Core.Llfi.fast);
+      let index fast =
+        let loaded = pc.Core.Pinfi.loaded in
+        let counts = Array.make (Array.length loaded.Vm.X86_exec.masks) 0 in
+        ignore
+          (Vm.X86_exec.run ~inputs:pc.Core.Pinfi.inputs ?fast
+             (Profile_index counts) loaded);
+        counts
+      in
+      Alcotest.(check (array int))
+        (w.name ^ ": pinfi per-instruction profile")
+        (index None) (index pc.Core.Pinfi.fast);
+      (* propagation's traced golden and injected runs *)
+      let traced mode fast =
+        let tr = Vm.Ir_exec.create_trace () in
+        let st =
+          Vm.Ir_exec.run ~inputs:lc.Core.Llfi.inputs
+            ~max_steps:lc.Core.Llfi.max_steps ~trace:tr ?fast (mode ())
+            lc.Core.Llfi.compiled
+        in
+        ( stats_key st,
+          Array.sub tr.Vm.Ir_exec.t_gids 0 tr.Vm.Ir_exec.t_len,
+          Array.sub tr.Vm.Ir_exec.t_vals 0 tr.Vm.Ir_exec.t_len )
+      in
+      let all = Core.Category.All in
+      let inject () =
+        Vm.Ir_exec.Inject
+          ( {
+              Vm.Ir_exec.inj_mask = Core.Category.mask all;
+              target = Core.Llfi.dynamic_count lc all / 2;
+              rng = Support.Rng.of_int 7;
+            },
+            Vm.Fault_model.sampled Vm.Fault_model.Bitflip )
+      in
+      List.iter
+        (fun (what, mode) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: traced %s run" w.name what)
+            true
+            (traced mode None = traced mode lc.Core.Llfi.fast))
+        [ ("golden", fun () -> Vm.Ir_exec.Golden); ("injected", inject) ])
     Workloads.all;
   (* one VM execution per prepare: each run observes [run_steps] once *)
   let w = Workloads.find_exn "mcf" in
@@ -204,47 +256,41 @@ let test_campaign_csv_identity () =
 
 (* --- snapshot x rejoin x compile interplay ---
 
-   All four executor configurations (snapshot on/off x compile on/off)
-   plus the rejoin-journal path must tally identically: the fast tier
-   serves the ff machine's forward advance, the trial remainder, and
-   the digest-maintaining journal recording, so each combination
-   crosses a different set of engine code paths. *)
+   Campaign cells through the fast-forward machine, interpreted and
+   compiled, plus the rejoin-journal path, must tally identically to
+   direct from-entry trials: the fast tier serves the ff machine's
+   forward advance, the trial remainder, and the digest-maintaining
+   journal recording, so each combination crosses a different set of
+   engine code paths. *)
 
 let test_snapshot_rejoin_interplay () =
   let w = Workloads.find_exn "libquantum" in
   let base = { Core.Campaign.default_config with trials = 25 } in
-  let cfg snapshot compile = { base with snapshot; compile } in
-  let reference =
+  let cfg compile = { base with compile } in
+  let grid f =
     Core.Campaign.to_csv
-      (snd (Core.Campaign.run_workload (cfg false false) w))
+      (List.concat_map (fun tool -> List.map (f tool) Core.Category.all) tools)
+  in
+  let reference =
+    let config = cfg false in
+    let p = Core.Campaign.prepare config w in
+    grid (Reference.cell config p)
   in
   List.iter
-    (fun (snapshot, compile) ->
-      let csv =
-        Core.Campaign.to_csv
-          (snd (Core.Campaign.run_workload (cfg snapshot compile) w))
-      in
+    (fun compile ->
+      let csv = Core.Campaign.to_csv (snd (Core.Campaign.run_workload (cfg compile) w)) in
       Alcotest.(check string)
-        (Printf.sprintf "snapshot=%b compile=%b equals reference" snapshot
-           compile)
+        (Printf.sprintf "compile=%b equals reference" compile)
         reference csv)
-    [ (false, true); (true, false); (true, true) ];
+    [ false; true ];
   (* rejoin journals recorded and consumed through each engine *)
   let run_rejoin compile =
-    let config = cfg true compile in
+    let config = cfg compile in
     let p = Core.Campaign.prepare config w in
     let rejoin = Core.Campaign.record_rejoin p in
-    let cells =
-      List.concat_map
-        (fun tool ->
-          List.map
-            (fun cat ->
-              let r = Core.Campaign.runner ~rejoin p tool cat in
-              Core.Campaign.run_cell ~runner:r config p tool cat)
-            Core.Category.all)
-        tools
-    in
-    Core.Campaign.to_csv cells
+    grid (fun tool cat ->
+        let r = Core.Campaign.runner ~rejoin p tool cat in
+        Core.Campaign.run_cell ~runner:r config p tool cat)
   in
   Alcotest.(check string) "rejoin: interpreted equals reference" reference
     (run_rejoin false);

@@ -292,7 +292,7 @@ let test_traces_are_deterministic () =
   let compiled = Vm.Ir_exec.compile prog in
   let record () =
     let tr = Vm.Ir_exec.create_trace () in
-    ignore (Vm.Ir_exec.run ~inputs:mcf.Core.Workload.inputs ~trace:tr compiled);
+    ignore (Vm.Ir_exec.run ~inputs:mcf.Core.Workload.inputs ~trace:tr Golden compiled);
     tr
   in
   let a = record () and b = record () in
@@ -411,36 +411,38 @@ let test_custom_selector_restricts () =
 (* --- snapshot executor --- *)
 
 (* The snapshot/fast-forward path must be invisible: same tallies, same
-   per-trial verdicts, same full stats stream, per cell, for both
-   tools. *)
+   per-trial verdicts, same full stats stream (first-use tracking on),
+   per cell, for both tools, as direct from-entry trials on the same
+   cell_rng splits. *)
 let test_snapshot_matches_direct () =
   let p = Lazy.force prepared in
-  let collect cfg tool category =
-    let acc = ref [] in
-    let cell =
-      Core.Campaign.run_cell
-        ~on_stats:(fun trial v st -> acc := (trial, v, st) :: !acc)
-        cfg p tool category
-    in
-    (cell.Core.Campaign.c_tally, List.rev !acc)
-  in
   List.iter
     (fun tool ->
       List.iter
         (fun category ->
-          let t_on, s_on =
-            collect { small_config with snapshot = true } tool category
+          let acc = ref [] in
+          let cell =
+            Core.Campaign.run_cell ~track_use:true
+              ~on_stats:(fun trial v st -> acc := (trial, v, st) :: !acc)
+              small_config p tool category
           in
-          let t_off, s_off =
-            collect { small_config with snapshot = false } tool category
+          let golden_output = Core.Campaign.golden_output p tool in
+          let direct =
+            List.mapi
+              (fun trial st ->
+                (trial, Core.Verdict.of_run ~golden_output st, st))
+              (Reference.stats ~track_use:true small_config p tool category)
           in
           let name =
             Printf.sprintf "%s/%s"
               (Core.Campaign.tool_name tool)
               (Core.Category.name category)
           in
-          Alcotest.(check bool) (name ^ " tally") true (t_on = t_off);
-          Alcotest.(check bool) (name ^ " stats stream") true (s_on = s_off))
+          Alcotest.(check bool) (name ^ " tally") true
+            (cell.Core.Campaign.c_tally
+            = (Reference.cell small_config p tool category).Core.Campaign.c_tally);
+          Alcotest.(check bool) (name ^ " stats stream") true
+            (List.rev !acc = direct))
         Core.Category.all)
     [ Core.Campaign.Llfi_tool; Core.Campaign.Pinfi_tool ]
 

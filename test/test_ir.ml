@@ -295,7 +295,7 @@ let test_roundtrip_workloads () =
       (* The reparsed program must behave identically. *)
       let run p =
         match
-          (Vm.Ir_exec.run ~inputs:w.Core.Workload.inputs (Vm.Ir_exec.compile p))
+          (Vm.Ir_exec.run ~inputs:w.Core.Workload.inputs Golden (Vm.Ir_exec.compile p))
             .Vm.Outcome.outcome
         with
         | Vm.Outcome.Finished out -> out

@@ -2,7 +2,7 @@
 
 let run_src ?(inputs = [||]) src =
   let prog = Minic.compile src in
-  let stats = Vm.Ir_exec.run ~inputs (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run ~inputs Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished out -> out
   | other -> Alcotest.failf "program did not finish: %a" Vm.Outcome.pp other
@@ -370,7 +370,7 @@ let test_runtime_null_crash () =
     Minic.compile
       {| void main() { int *p = (int*)0; print_int(*p); } |}
   in
-  let stats = Vm.Ir_exec.run (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Crashed (Vm.Trap.Unmapped_read _) -> ()
   | other -> Alcotest.failf "expected crash, got %a" Vm.Outcome.pp other
@@ -379,7 +379,7 @@ let test_runtime_div_zero_crash () =
   let prog =
     Minic.compile {| void main() { int z = 0; print_int(10 / z); } |}
   in
-  let stats = Vm.Ir_exec.run (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Crashed Vm.Trap.Division_by_zero -> ()
   | other -> Alcotest.failf "expected crash, got %a" Vm.Outcome.pp other

@@ -4,7 +4,7 @@
    tests then pin down what each pass is supposed to achieve. *)
 
 let run_ir ?(inputs = [||]) prog =
-  let stats = Vm.Ir_exec.run ~inputs (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run ~inputs Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished out -> out
   | other -> Alcotest.failf "program did not finish: %a" Vm.Outcome.pp other
@@ -165,7 +165,7 @@ let test_constfold_keeps_div_by_zero () =
   (* 1/0 must still crash after optimization, not be folded into garbage. *)
   let src = {| void main() { int z = 0; print_int(1 / z); } |} in
   let prog = Opt.optimize (Minic.compile src) in
-  let stats = Vm.Ir_exec.run (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Crashed Vm.Trap.Division_by_zero -> ()
   | other -> Alcotest.failf "expected division trap, got %a" Vm.Outcome.pp other
@@ -320,7 +320,7 @@ let test_inline_call_in_loop_bounded_stack () =
   in
   check_preserves "call in loop" src;
   let prog = Opt.optimize (Minic.compile src) in
-  let stats = Vm.Ir_exec.run (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished _ -> ()
   | other -> Alcotest.failf "inlined loop failed: %a" Vm.Outcome.pp other

@@ -293,7 +293,7 @@ let with_tmp f =
 let test_joblog_roundtrip () =
   with_tmp (fun path ->
       Sys.remove path;
-      let t, entries = Joblog.start ~path ~snapshot:true in
+      let t, entries = Joblog.start ~path in
       Alcotest.(check int) "fresh journal is empty" 0 (List.length entries);
       Joblog.record_job t ~id:1 ~chunk:10 (sample_job (Some "/tmp/out with space.csv"));
       Joblog.record_shard t ~id:1 sample_shard;
@@ -301,7 +301,7 @@ let test_joblog_roundtrip () =
       Joblog.record_done t ~id:1 ~digest:"cafebabe";
       Joblog.record_fail t ~id:2;
       Joblog.close t;
-      match Joblog.load ~path ~snapshot:true with
+      match Joblog.load ~path with
       | [ e1; e2 ] ->
         Alcotest.(check int) "id order" 1 e1.Joblog.e_id;
         Alcotest.(check bool) "job 1 spec survives" true
@@ -317,7 +317,7 @@ let test_joblog_roundtrip () =
 let test_joblog_torn_tail () =
   with_tmp (fun path ->
       Sys.remove path;
-      let t, _ = Joblog.start ~path ~snapshot:true in
+      let t, _ = Joblog.start ~path in
       Joblog.record_job t ~id:1 ~chunk:10 (sample_job None);
       Joblog.record_shard t ~id:1 sample_shard;
       Joblog.close t;
@@ -325,21 +325,62 @@ let test_joblog_torn_tail () =
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "shard 1 LLFI all 20 10 123";
       close_out oc;
-      match Joblog.load ~path ~snapshot:true with
+      match Joblog.load ~path with
       | [ e ] ->
         Alcotest.(check int) "torn shard line is skipped" 1
           (List.length e.Joblog.e_shards)
       | es -> Alcotest.failf "expected 1 entry, got %d" (List.length es))
 
+(* A v2 journal (raw output paths, snapshot token) must be refused, not
+   misread. *)
 let test_joblog_header_mismatch () =
   with_tmp (fun path ->
-      Sys.remove path;
-      let t, _ = Joblog.start ~path ~snapshot:true in
-      Joblog.record_job t ~id:1 ~chunk:10 (sample_job None);
-      Joblog.close t;
-      match Joblog.load ~path ~snapshot:false with
-      | _ -> Alcotest.fail "snapshot mismatch was accepted"
+      let oc = open_out path in
+      output_string oc
+        "# fi-serve-journal v2 snapshot=true\n\
+         job 1 20 7 10 bitflip LLFI all mcf -\n";
+      close_out oc;
+      match Joblog.load ~path with
+      | _ -> Alcotest.fail "v2 journal was accepted"
       | exception Invalid_argument _ -> ())
+
+(* Any output path survives the journal: the path is the job line's
+   only free-form field, and no byte of it — newlines that would forge
+   job/shard/done lines on replay, "-", "", trailing spaces — may change
+   what [load] reads back. *)
+let test_joblog_out_roundtrip =
+  let path_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          str_gen;
+          oneofl
+            [
+              "\njob 9 20 7 10 bitflip LLFI all mcf -";
+              "x\nshard 1 LLFI all 0 10 5 10 10 0 0 0 0 0\ndone 1 00";
+              "-";
+              "";
+              "out.csv  ";
+              " ";
+              "\"quoted\"";
+            ];
+        ])
+  in
+  QCheck.Test.make ~name:"output path round-trips" ~count:300
+    (QCheck.make ~print:String.escaped path_gen) (fun out ->
+      with_tmp (fun path ->
+          Sys.remove path;
+          let t, _ = Joblog.start ~path in
+          Joblog.record_job t ~id:1 ~chunk:10 (sample_job (Some out));
+          Joblog.record_job t ~id:2 ~chunk:5 (sample_job None);
+          Joblog.close t;
+          match Joblog.load ~path with
+          | [ e1; e2 ] ->
+            e1.Joblog.e_job = sample_job (Some out)
+            && e1.Joblog.e_shards = [] && (not e1.Joblog.e_done)
+            && e2.Joblog.e_id = 2
+            && e2.Joblog.e_job = sample_job None
+          | _ -> false))
 
 (* --- in-process service --- *)
 
@@ -564,7 +605,7 @@ let test_journal_resume_headless () =
     Core.Campaign.run_cell_range config p Core.Campaign.Pinfi_tool
       Core.Category.Load ~first:0 ~count:chunk
   in
-  let t, _ = Joblog.start ~path:journal ~snapshot:true in
+  let t, _ = Joblog.start ~path:journal in
   Joblog.record_job t ~id:1 ~chunk job;
   Joblog.record_shard t ~id:1
     {
@@ -599,7 +640,7 @@ let test_journal_resume_headless () =
     (offline_csv job) csv;
   (* the journal now carries the terminal record: a second start resumes
      nothing *)
-  match Joblog.load ~path:journal ~snapshot:true with
+  match Joblog.load ~path:journal with
   | [ e ] ->
     Alcotest.(check bool) "journal records completion" true e.Joblog.e_done;
     Alcotest.(check bool) "only missing shards were journaled by the resume"
@@ -632,6 +673,7 @@ let () =
           ("record round-trip", `Quick, test_joblog_roundtrip);
           ("torn tail is skipped", `Quick, test_joblog_torn_tail);
           ("header mismatch refused", `Quick, test_joblog_header_mismatch);
+          QCheck_alcotest.to_alcotest test_joblog_out_roundtrip;
         ] );
       ( "service",
         [

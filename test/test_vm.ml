@@ -27,6 +27,8 @@ let build_sum_program () =
   Ir.Builder.ret b (Some s');
   prog
 
+let bitflip = Vm.Fault_model.sampled Vm.Fault_model.Bitflip
+
 let test_verify_ok () =
   let prog = build_sum_program () in
   match Ir.Verify.check_prog prog with
@@ -38,7 +40,7 @@ let test_verify_ok () =
 let test_run_sum () =
   let prog = build_sum_program () in
   let compiled = Vm.Ir_exec.compile prog in
-  let stats = Vm.Ir_exec.run compiled in
+  let stats = Vm.Ir_exec.run Golden compiled in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished out -> Alcotest.(check string) "output" "285\n" out
   | other -> Alcotest.failf "unexpected outcome %a" Vm.Outcome.pp other
@@ -59,7 +61,7 @@ let test_globals_and_memory () =
   Ir.Builder.intrinsic b Ir.Instr.Print_i64 [ v ] |> ignore;
   Ir.Builder.ret b None;
   Ir.Verify.check_prog_exn prog;
-  let stats = Vm.Ir_exec.run (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished out -> Alcotest.(check string) "output" "30" out
   | other -> Alcotest.failf "unexpected outcome %a" Vm.Outcome.pp other
@@ -72,7 +74,7 @@ let test_null_deref_crashes () =
   let v = Ir.Builder.load b (Ir.Operand.Null (Ir.Types.Ptr Ir.Types.I64)) in
   Ir.Builder.intrinsic b Ir.Instr.Print_i64 [ v ] |> ignore;
   Ir.Builder.ret b None;
-  let stats = Vm.Ir_exec.run (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Crashed (Vm.Trap.Unmapped_read a) when a >= 0 && a < 8 -> ()
   | other -> Alcotest.failf "expected null-read crash, got %a" Vm.Outcome.pp other
@@ -86,7 +88,7 @@ let test_div_by_zero_crashes () =
   let v = Ir.Builder.binop b Ir.Instr.Sdiv (Ir.Operand.i64 1) zero in
   Ir.Builder.intrinsic b Ir.Instr.Print_i64 [ v ] |> ignore;
   Ir.Builder.ret b None;
-  let stats = Vm.Ir_exec.run (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Crashed Vm.Trap.Division_by_zero -> ()
   | other -> Alcotest.failf "expected division trap, got %a" Vm.Outcome.pp other
@@ -100,7 +102,7 @@ let test_hang_detection () =
   Ir.Builder.br b loop;
   Ir.Builder.position_at_end b loop;
   Ir.Builder.br b loop;
-  let stats = Vm.Ir_exec.run ~max_steps:1000 (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run ~max_steps:1000 Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Hung -> ()
   | other -> Alcotest.failf "expected hang, got %a" Vm.Outcome.pp other
@@ -113,7 +115,7 @@ let test_profile_counts () =
   let prog = build_sum_program () in
   let compiled = Vm.Ir_exec.compile ~classify:classify_all prog in
   let counts = Array.make 2 0 in
-  let stats = Vm.Ir_exec.run ~profile_masks:counts compiled in
+  let stats = Vm.Ir_exec.run (Profile counts) compiled in
   (match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished _ -> ()
   | other -> Alcotest.failf "unexpected outcome %a" Vm.Outcome.pp other);
@@ -131,7 +133,7 @@ let test_injection_changes_output () =
     let plan =
       { Vm.Ir_exec.inj_mask = 1; target; rng = Support.Rng.of_int (1000 + target) }
     in
-    let stats = Vm.Ir_exec.run ~plan compiled in
+    let stats = Vm.Ir_exec.run (Inject (plan, bitflip)) compiled in
     if not stats.Vm.Outcome.injected then
       Alcotest.failf "target %d not injected" target;
     match stats.Vm.Outcome.outcome with
@@ -146,7 +148,7 @@ let test_injection_out_of_range_is_noop () =
   let plan =
     { Vm.Ir_exec.inj_mask = 1; target = 1_000_000; rng = Support.Rng.of_int 7 }
   in
-  let stats = Vm.Ir_exec.run ~plan compiled in
+  let stats = Vm.Ir_exec.run (Inject (plan, bitflip)) compiled in
   Alcotest.(check bool) "not injected" false stats.Vm.Outcome.injected;
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished out -> Alcotest.(check string) "output" "285\n" out
@@ -157,7 +159,7 @@ let test_deterministic_injection () =
   let compiled = Vm.Ir_exec.compile ~classify:classify_all prog in
   let run () =
     let plan = { Vm.Ir_exec.inj_mask = 1; target = 17; rng = Support.Rng.of_int 42 } in
-    Vm.Ir_exec.run ~plan compiled
+    Vm.Ir_exec.run (Inject (plan, bitflip)) compiled
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "same outcome"
@@ -198,7 +200,7 @@ let test_recursion_and_calls () =
   Ir.Builder.intrinsic mb Ir.Instr.Print_i64 [ r ] |> ignore;
   Ir.Builder.ret mb None;
   Ir.Verify.check_prog_exn prog;
-  let stats = Vm.Ir_exec.run (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished out -> Alcotest.(check string) "fib 15" "610" out
   | other -> Alcotest.failf "unexpected outcome %a" Vm.Outcome.pp other
@@ -215,7 +217,7 @@ let test_float_pipeline () =
   Ir.Builder.intrinsic b Ir.Instr.Print_i64 [ back ] |> ignore;
   Ir.Builder.ret b None;
   Ir.Verify.check_prog_exn prog;
-  let stats = Vm.Ir_exec.run (Vm.Ir_exec.compile prog) in
+  let stats = Vm.Ir_exec.run Golden (Vm.Ir_exec.compile prog) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished out -> Alcotest.(check string) "sqrt(9)+0.5 -> 3" "3" out
   | other -> Alcotest.failf "unexpected outcome %a" Vm.Outcome.pp other

@@ -9,8 +9,8 @@ let prepare (w : Core.Workload.t) =
 
 let golden_outputs (w : Core.Workload.t) =
   let prog, asm = prepare w in
-  let ir = Vm.Ir_exec.run ~inputs:w.Core.Workload.inputs (Vm.Ir_exec.compile prog) in
-  let x86 = Vm.X86_exec.run ~inputs:w.Core.Workload.inputs (Vm.X86_exec.load asm) in
+  let ir = Vm.Ir_exec.run ~inputs:w.Core.Workload.inputs Golden (Vm.Ir_exec.compile prog) in
+  let x86 = Vm.X86_exec.run ~inputs:w.Core.Workload.inputs Golden (Vm.X86_exec.load asm) in
   (ir, x86)
 
 let test_runs_and_matches (w : Core.Workload.t) () =
@@ -40,7 +40,7 @@ let test_input_sensitivity (w : Core.Workload.t) () =
   let prog, _ = prepare w in
   let compiled = Vm.Ir_exec.compile prog in
   let run inputs =
-    match (Vm.Ir_exec.run ~inputs compiled).Vm.Outcome.outcome with
+    match (Vm.Ir_exec.run ~inputs Golden compiled).Vm.Outcome.outcome with
     | Vm.Outcome.Finished out -> out
     | other ->
       Alcotest.failf "%s: did not finish: %a" w.Core.Workload.name Vm.Outcome.pp

@@ -157,7 +157,7 @@ let test_map_regs_applies_everywhere () =
 let run_asm src =
   let prog = Opt.optimize (Minic.compile src) in
   let asm = Backend.compile prog in
-  let stats = Vm.X86_exec.run (Vm.X86_exec.load asm) in
+  let stats = Vm.X86_exec.run Golden (Vm.X86_exec.load asm) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished out -> out
   | other -> Alcotest.failf "asm run failed: %a" Vm.Outcome.pp other
@@ -203,7 +203,7 @@ let test_stack_overflow_traps () =
          {| int inf(int n) { return inf(n + 1); } void main() { print_int(inf(0)); } |})
   in
   let asm = Backend.compile prog in
-  let stats = Vm.X86_exec.run (Vm.X86_exec.load asm) in
+  let stats = Vm.X86_exec.run Golden (Vm.X86_exec.load asm) in
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Crashed _ -> ()
   | other -> Alcotest.failf "expected stack exhaustion crash, got %a" Vm.Outcome.pp other
@@ -224,7 +224,9 @@ let test_asm_injection_deterministic () =
         target = 1234; rng = Support.Rng.of_int 5;
         policy = Vm.X86_exec.paper_policy }
     in
-    Vm.X86_exec.run ~plan ~inputs:w.Core.Workload.inputs loaded
+    Vm.X86_exec.run ~inputs:w.Core.Workload.inputs
+      (Inject (plan, Vm.Fault_model.sampled Vm.Fault_model.Bitflip))
+      loaded
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "same outcome" true
@@ -238,7 +240,9 @@ let test_asm_injection_out_of_range () =
       target = max_int / 2; rng = Support.Rng.of_int 5;
       policy = Vm.X86_exec.paper_policy }
   in
-  let stats = Vm.X86_exec.run ~plan ~inputs:w.Core.Workload.inputs loaded in
+  let stats = Vm.X86_exec.run ~inputs:w.Core.Workload.inputs
+      (Inject (plan, Vm.Fault_model.sampled Vm.Fault_model.Bitflip))
+      loaded in
   Alcotest.(check bool) "not injected" false stats.Vm.Outcome.injected;
   match stats.Vm.Outcome.outcome with
   | Vm.Outcome.Finished _ -> ()
@@ -255,7 +259,9 @@ let test_flag_injection_hits_dependent_bits () =
         target = k * 13; rng = Support.Rng.split rng;
         policy = Vm.X86_exec.paper_policy }
     in
-    let stats = Vm.X86_exec.run ~plan ~inputs:w.Core.Workload.inputs loaded in
+    let stats = Vm.X86_exec.run ~inputs:w.Core.Workload.inputs
+      (Inject (plan, Vm.Fault_model.sampled Vm.Fault_model.Bitflip))
+      loaded in
     if stats.Vm.Outcome.injected then begin
       match
         Scanf.sscanf_opt stats.Vm.Outcome.fault_note "flag bit %d" (fun b -> b)
