@@ -1,20 +1,46 @@
-(** Campaign journal: checkpoint/resume for long-running campaigns.
+(** Append-only record logs: checkpoint/resume for long-running
+    campaigns, exact campaigns and the [fi serve] job log.
 
-    A journal is a plain-text, line-delimited file: one header line
-    binding the file to a campaign invocation (seed, trials and the
-    cell grid — everything that changes which cells exist and what
-    their tallies are), then one [cell] line per completed campaign
-    cell.  Appends are flushed per cell, so a run
-    killed mid-campaign loses at most the cell in flight; a resumed run
-    {!load}s the file, skips every journaled cell, and re-runs only the
-    remainder.  The deterministic per-cell RNG streams make the merged
-    result identical to an uninterrupted run.
+    A log is a plain-text file: one header line binding the file to the
+    invocation that wrote it, then one line per record, each written by
+    a {!schema}'s [encode].  A record counts only if its line ends in
+    ['\n']: {!record} appends and flushes one record at a time, so a
+    process killed mid-append leaves at most one unterminated tail,
+    which {!load} ignores and {!start} [~resume:true] truncates before
+    it appends — a torn record is never decoded and never glues onto
+    the next one.  A complete line the schema does not decode is
+    skipped.  The deterministic per-cell RNG streams make a resumed
+    run's merged result identical to an uninterrupted one. *)
 
-    Malformed or truncated trailing lines (a crash mid-append) are
-    ignored on load.  [record] is serialized internally and may be
-    called from pool workers. *)
+type 'a schema = {
+  header : string;  (** the first line, without its newline *)
+  encode : 'a -> string;  (** one record; must hold no newline *)
+  decode : string -> 'a option;  (** [None] for a line of another kind *)
+  flushes : Obs.Metrics.counter;  (** counts every {!record} *)
+}
 
-type t
+type 'a t
+
+val start : 'a schema -> path:string -> resume:bool -> 'a t * 'a list
+(** Open a log at [path].  With [resume=false] (or no existing file)
+    the file is truncated and a fresh header written; the record list
+    is empty.  With [resume=true] and an existing file, its complete
+    records are returned, an unterminated tail is truncated away, and
+    subsequent {!record}s append.
+    @raise Invalid_argument if resuming against a file whose header is
+    not [schema.header] (another seed, trial count, cell grid or format
+    version); the error shows both headers. *)
+
+val record : 'a t -> 'a -> unit
+(** Append one record and flush.  Thread-safe; a no-op after {!close}. *)
+
+val close : 'a t -> unit
+
+val load : 'a schema -> path:string -> 'a list
+(** The complete records of a log file, in file order; validates the
+    header like {!start}. *)
+
+(** {2 Campaign and exhaust journals} *)
 
 val grid :
   workloads:string list ->
@@ -25,66 +51,33 @@ val grid :
     comma-separated workload, tool and category names joined with
     [|]. *)
 
-val start :
-  path:string -> resume:bool -> grid:string -> Core.Campaign.config ->
-  t * Core.Campaign.cell list
-(** Open a journal at [path].  With [resume=false] (or no existing
-    file) the file is truncated and a fresh header written; the cell
-    list is empty.  With [resume=true] and an existing file, previously
-    completed cells are returned and subsequent {!record}s append.
-    @raise Invalid_argument if resuming against a journal whose header
-    does not match this invocation (different seed, trials or cell
-    grid); the error shows both headers. *)
+val cells : grid:string -> Core.Campaign.config -> Core.Campaign.cell schema
+(** One [cell] line per completed campaign cell.  The header binds the
+    file to the seed, trial count, fault model (a [model=...] token,
+    present only when not {!Core.Fault_model.Bitflip}) and [grid]; cell
+    lines don't repeat the model, the decoder fills it in. *)
 
-val record : t -> Core.Campaign.cell -> unit
-(** Append one completed cell and flush.  Thread-safe. *)
+val exact_cells :
+  grid:string -> seed:int -> prune:bool -> sample_bound:int ->
+  Core.Fault_model.t -> Core.Campaign.exact_cell schema
+(** One [xcell] line per completed exact cell.  The header binds
+    everything that changes an exact result: the seed (used only by the
+    bounded residual sampler), pruning on/off, the sample bound (0 means
+    fully exact), the model and the grid.  The error bound is written
+    as a hex float so resumed cells reload bit-identically. *)
 
-val close : t -> unit
+(** {2 Field codecs shared by the schemas} *)
 
-(** {2 Plumbing, exposed for tests} *)
+val cell_fields :
+  Core.Campaign.tool -> Core.Category.t -> int list -> Core.Verdict.tally ->
+  string list
+(** [tool category n1 ... nk] followed by the tally's seven counts. *)
 
-val load :
-  path:string -> grid:string -> Core.Campaign.config ->
-  Core.Campaign.cell list
-(** Parse a journal file; validates the header like {!start}. *)
+val of_cell_fields :
+  string list ->
+  (Core.Campaign.tool * Core.Category.t * int list * Core.Verdict.tally)
+  option
+(** Inverse of {!cell_fields}. *)
 
-val cell_line : Core.Campaign.cell -> string
-
-val parse_cell :
-  ?model:Core.Fault_model.t -> string -> Core.Campaign.cell option
-(** Cell lines don't repeat the campaign's fault model — the header
-    fixes it (a [model=...] token, present only when non-default) — so
-    the loader threads it in; default {!Core.Fault_model.Bitflip}. *)
-
-(** {2 Exhaust journals}
-
-    The same checkpoint/resume discipline for exact campaigns: one
-    [xcell] line per completed exact cell.  The header binds the file
-    to everything that changes an exact result — seed (used only by
-    the bounded residual sampler), pruning on/off, the sample bound and
-    the cell grid.  The error bound is written as a hex float so
-    resumed cells reload bit-identically. *)
-
-val xstart :
-  ?model:Core.Fault_model.t ->
-  path:string -> resume:bool -> grid:string ->
-  seed:int -> prune:bool -> sample_bound:int -> unit ->
-  t * Core.Campaign.exact_cell list
-(** As {!start}; [sample_bound] 0 means unbounded (fully exact);
-    [model] (default {!Core.Fault_model.Bitflip}) is part of the header
-    binding, as {!start}.
-    @raise Invalid_argument on a header mismatch, as {!start}. *)
-
-val xrecord : t -> Core.Campaign.exact_cell -> unit
-(** Append one completed exact cell and flush.  Thread-safe. *)
-
-val xload :
-  ?model:Core.Fault_model.t ->
-  path:string -> grid:string -> seed:int -> prune:bool -> sample_bound:int ->
-  unit ->
-  Core.Campaign.exact_cell list
-
-val xcell_line : Core.Campaign.exact_cell -> string
-
-val parse_xcell :
-  ?model:Core.Fault_model.t -> string -> Core.Campaign.exact_cell option
+val all : ('a -> 'b option) -> 'a list -> 'b list option
+(** [Some] of every image, or [None] if any is [None]. *)

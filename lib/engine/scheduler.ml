@@ -136,7 +136,7 @@ let run ?(jobs = 1) ?journal:journal_path ?(resume = false) ?progress
           ~workloads:(List.map (fun (w : Core.Workload.t) -> w.name) workloads)
           ~tools ~categories
       in
-      let j, cells = Journal.start ~path ~resume ~grid config in
+      let j, cells = Journal.start (Journal.cells ~grid config) ~path ~resume in
       (Some j, cells)
   in
   let restored t = List.find_opt (matches t) journaled in

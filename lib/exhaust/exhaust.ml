@@ -421,8 +421,10 @@ let run ?(jobs = 1) ?journal ?(resume = false)
     | None -> (None, [])
     | Some path ->
       let j, cells =
-        Engine.Journal.xstart ~model ~path ~resume ~grid ~seed:config.seed
-          ~prune:config.prune ~sample_bound:config.sample_bound ()
+        Engine.Journal.start
+          (Engine.Journal.exact_cells ~grid ~seed:config.seed
+             ~prune:config.prune ~sample_bound:config.sample_bound model)
+          ~path ~resume
       in
       (Some j, cells)
   in
@@ -455,7 +457,7 @@ let run ?(jobs = 1) ?journal ?(resume = false)
                 | None ->
                   let cell = run_cell ~model ?pool config p tool category in
                   (match journal with
-                  | Some j -> Engine.Journal.xrecord j cell
+                  | Some j -> Engine.Journal.record j cell
                   | None -> ());
                   (match on_cell with Some f -> f cell | None -> ());
                   cell)

@@ -124,6 +124,6 @@ val run :
     ([campaign_config.model], which must be {!enumerable}); trial
     counts and the campaign seed play no role.  [jobs] shards each
     cell's survivor execution over a pool; [journal]/[resume]
-    checkpoint completed cells ({!Engine.Journal.xstart}, whose header
+    checkpoint completed cells ({!Engine.Journal.exact_cells}, whose header
     binds the model).  Cells are emitted in canonical order regardless
     of journal state. *)

@@ -1,4 +1,4 @@
-(* Line-delimited service journal; see the .mli. *)
+(* The service journal: a record schema over Engine.Journal; see the .mli. *)
 
 type shard = {
   s_tool : Core.Campaign.tool;
@@ -9,6 +9,12 @@ type shard = {
   s_tally : Core.Verdict.tally;
 }
 
+type record =
+  | Job of { id : int; chunk : int; job : Wire.job }
+  | Shard of { id : int; shard : shard }
+  | Done of { id : int; digest : string }
+  | Fail of { id : int }
+
 type entry = {
   e_id : int;
   e_chunk : int;
@@ -18,220 +24,128 @@ type entry = {
   mutable e_failed : bool;
 }
 
-type t = { oc : out_channel; mutex : Mutex.t; mutable closed : bool }
-
-(* v2 added the fault-model token to job lines; v3 escapes the output
-   path and drops the snapshot token.  Older journals are rejected by
-   the header check instead of being misread. *)
-let header = "# fi-serve-journal v3"
-
 let comma f xs = String.concat "," (List.map f xs)
+let names of_name s = Engine.Journal.all of_name (String.split_on_char ',' s)
 
 (* The output path is the only free-form field, so it goes last, as
    "-" for none or an OCaml string literal: escaped, a path can hold
    no newline that would forge a journal line. *)
-let job_line ~id ~chunk (j : Wire.job) =
-  Printf.sprintf "job %d %d %d %d %s %s %s %s %s" id j.Wire.j_trials
-    j.Wire.j_seed chunk
-    (Core.Fault_model.name j.Wire.j_model)
-    (comma Core.Campaign.tool_name j.Wire.j_tools)
-    (comma Core.Category.name j.Wire.j_categories)
-    j.Wire.j_workload
-    (match j.Wire.j_out with None -> "-" | Some p -> Printf.sprintf "%S" p)
+let encode = function
+  | Job { id; chunk; job = j } ->
+    Printf.sprintf "job %d %d %d %d %s %s %s %s %s" id j.j_trials j.j_seed chunk
+      (Core.Fault_model.name j.j_model)
+      (comma Core.Campaign.tool_name j.j_tools)
+      (comma Core.Category.name j.j_categories)
+      j.j_workload
+      (match j.j_out with None -> "-" | Some p -> Printf.sprintf "%S" p)
+  | Shard { id; shard = s } ->
+    String.concat " "
+      ("shard" :: string_of_int id
+      :: Engine.Journal.cell_fields s.s_tool s.s_category
+           [ s.s_first; s.s_count; s.s_population ]
+           s.s_tally)
+  | Done { id; digest } -> Printf.sprintf "done %d %s" id digest
+  | Fail { id } -> Printf.sprintf "fail %d" id
 
-let shard_line ~id (s : shard) =
-  let t = s.s_tally in
-  Printf.sprintf "shard %d %s %s %d %d %d %d %d %d %d %d %d %d" id
-    (Core.Campaign.tool_name s.s_tool)
-    (Core.Category.name s.s_category)
-    s.s_first s.s_count s.s_population t.Core.Verdict.trials t.benign t.sdc
-    t.crash t.hang t.not_activated t.not_injected
-
-let opt_all xs = if List.exists Option.is_none xs then None else Some (List.map Option.get xs)
-
-let parse_names of_name s =
-  opt_all (List.map of_name (String.split_on_char ',' s))
-
-let parse_job tokens =
-  match tokens with
-  | id :: trials :: seed :: chunk :: model :: tools :: cats :: workload :: rest
-    -> (
+(* No trimming: the split is lossless, so a job's quoted output path is
+   rejoined exactly. *)
+let decode line =
+  match String.split_on_char ' ' line with
+  | "job" :: id :: trials :: seed :: chunk :: model :: tools :: cats
+    :: j_workload :: out -> (
+    let j_out =
+      match String.concat " " out with
+      | "-" -> Some None
+      | s -> Option.map Option.some (Scanf.sscanf_opt s "%S%!" Fun.id)
+    in
     match
-      ( int_of_string_opt id,
-        int_of_string_opt trials,
-        int_of_string_opt seed,
-        int_of_string_opt chunk,
+      ( Engine.Journal.all int_of_string_opt [ id; trials; seed; chunk ],
         Core.Fault_model.of_name model,
-        parse_names Core.Campaign.tool_of_name tools,
-        parse_names Core.Category.of_string cats )
+        names Core.Campaign.tool_of_name tools,
+        names Core.Category.of_string cats,
+        j_out )
     with
-    | ( Some id,
-        Some trials,
-        Some seed,
-        Some chunk,
-        Some model,
-        Some tools,
-        Some cats ) ->
-      let out =
-        match String.concat " " rest with
-        | "-" -> Some None
-        | s -> (
-          match Scanf.sscanf s "%S%!" Fun.id with
-          | p -> Some (Some p)
-          | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
-      in
-      Option.map
-        (fun out ->
-          ( id,
-            chunk,
-            {
-              Wire.j_workload = workload;
-              j_tools = tools;
-              j_categories = cats;
-              j_model = model;
-              j_trials = trials;
-              j_seed = seed;
-              j_out = out;
-            } ))
-        out
-    | _ -> None)
-  | _ -> None
-
-let parse_shard tokens =
-  match tokens with
-  | [ id; tool; cat; first; count; population; trials; benign; sdc; crash;
-      hang; not_activated; not_injected ] -> (
-    match
-      ( int_of_string_opt id,
-        Core.Campaign.tool_of_name tool,
-        Core.Category.of_string cat,
-        opt_all
-          (List.map int_of_string_opt
-             [ first; count; population; trials; benign; sdc; crash; hang;
-               not_activated; not_injected ]) )
-    with
-    | ( Some id,
-        Some s_tool,
-        Some s_category,
-        Some
-          [ s_first; s_count; s_population; trials; benign; sdc; crash; hang;
-            not_activated; not_injected ] ) ->
+    | ( Some [ id; j_trials; j_seed; chunk ],
+        Some j_model,
+        Some j_tools,
+        Some j_categories,
+        Some j_out ) ->
       Some
-        ( id,
-          {
-            s_tool;
-            s_category;
-            s_first;
-            s_count;
-            s_population;
-            s_tally =
-              {
-                Core.Verdict.trials;
-                benign;
-                sdc;
-                crash;
-                hang;
-                not_activated;
-                not_injected;
-              };
-          } )
+        (Job
+           {
+             id;
+             chunk;
+             job =
+               {
+                 Wire.j_workload;
+                 j_tools;
+                 j_categories;
+                 j_model;
+                 j_trials;
+                 j_seed;
+                 j_out;
+               };
+           })
     | _ -> None)
+  | "shard" :: id :: fields -> (
+    match (int_of_string_opt id, Engine.Journal.of_cell_fields fields) with
+    | ( Some id,
+        Some (s_tool, s_category, [ s_first; s_count; s_population ], s_tally)
+      ) ->
+      Some
+        (Shard
+           {
+             id;
+             shard =
+               { s_tool; s_category; s_first; s_count; s_population; s_tally };
+           })
+    | _ -> None)
+  | [ "done"; id; digest ] ->
+    Option.map (fun id -> Done { id; digest }) (int_of_string_opt id)
+  | [ "fail"; id ] -> Option.map (fun id -> Fail { id }) (int_of_string_opt id)
   | _ -> None
 
-let load ~path =
-  In_channel.with_open_text path (fun ic ->
-      (match In_channel.input_line ic with
-      | Some first when String.equal (String.trim first) header -> ()
-      | Some first ->
-        invalid_arg
-          (Printf.sprintf
-             "Joblog.load: %s is not a journal this server can read.\n\
-             \  journal:  %s\n\
-             \  expected: %s\n\
-              Use a fresh journal path."
-             path (String.trim first) header)
-      | None -> ());
-      let entries : (int, entry) Hashtbl.t = Hashtbl.create 16 in
-      let order = ref [] in
-      let rec go () =
-        match In_channel.input_line ic with
-        | None -> ()
-        | Some line ->
-          (* Skip anything unparseable: a line truncated by a SIGKILL
-             mid-append must not poison the rest of the journal.  No
-             trimming: the split is lossless, so a job's quoted output
-             path is rejoined exactly. *)
-          (match String.split_on_char ' ' line with
-          | "job" :: rest -> (
-            match parse_job rest with
-            | Some (id, chunk, job) when not (Hashtbl.mem entries id) ->
-              Hashtbl.replace entries id
-                {
-                  e_id = id;
-                  e_chunk = chunk;
-                  e_job = job;
-                  e_shards = [];
-                  e_done = false;
-                  e_failed = false;
-                };
-              order := id :: !order
-            | _ -> ())
-          | "shard" :: rest -> (
-            match parse_shard rest with
-            | Some (id, shard) -> (
-              match Hashtbl.find_opt entries id with
-              | Some e -> e.e_shards <- e.e_shards @ [ shard ]
-              | None -> ())
-            | None -> ())
-          | [ "done"; id; _digest ] -> (
-            match Option.bind (int_of_string_opt id) (Hashtbl.find_opt entries) with
-            | Some e -> e.e_done <- true
-            | None -> ())
-          | [ "fail"; id ] -> (
-            match Option.bind (int_of_string_opt id) (Hashtbl.find_opt entries) with
-            | Some e -> e.e_failed <- true
-            | None -> ())
-          | _ -> ());
-          go ()
-      in
-      go ();
-      List.rev_map (Hashtbl.find entries) !order)
+(* v2 added the fault-model token to job lines; v3 escapes the output
+   path and drops the snapshot token.  Older journals are rejected by
+   the header check instead of being misread. *)
+let schema =
+  {
+    Engine.Journal.header = "# fi-serve-journal v3";
+    encode;
+    decode;
+    flushes = Obs.Metrics.counter "serve.journal.flushes";
+  }
+
+let fold records =
+  let entries = Hashtbl.create 16 in
+  let update id f = Option.iter f (Hashtbl.find_opt entries id) in
+  List.iter
+    (function
+      | Job { id; chunk; job } ->
+        if not (Hashtbl.mem entries id) then
+          Hashtbl.replace entries id
+            {
+              e_id = id;
+              e_chunk = chunk;
+              e_job = job;
+              e_shards = [];
+              e_done = false;
+              e_failed = false;
+            }
+      | Shard { id; shard } ->
+        update id (fun e -> e.e_shards <- shard :: e.e_shards)
+      | Done { id; _ } -> update id (fun e -> e.e_done <- true)
+      | Fail { id } -> update id (fun e -> e.e_failed <- true))
+    records;
+  List.of_seq (Hashtbl.to_seq_values entries)
+  |> List.sort (fun a b -> Int.compare a.e_id b.e_id)
+  |> List.map (fun e ->
+         (* Shards were consed newest first: flip each list once. *)
+         e.e_shards <- List.rev e.e_shards;
+         e)
+
+let load ~path = fold (Engine.Journal.load schema ~path)
 
 let start ~path =
-  let existing = if Sys.file_exists path then load ~path else [] in
-  let oc =
-    if existing <> [] then open_out_gen [ Open_append; Open_creat ] 0o644 path
-    else begin
-      let oc = open_out path in
-      output_string oc header;
-      output_char oc '\n';
-      flush oc;
-      oc
-    end
-  in
-  ({ oc; mutex = Mutex.create (); closed = false }, existing)
-
-let m_flushes = Obs.Metrics.counter "serve.journal.flushes"
-
-let record_line t line =
-  Mutex.lock t.mutex;
-  if not t.closed then begin
-    output_string t.oc line;
-    output_char t.oc '\n';
-    flush t.oc;
-    Obs.Metrics.incr m_flushes
-  end;
-  Mutex.unlock t.mutex
-
-let record_job t ~id ~chunk job = record_line t (job_line ~id ~chunk job)
-let record_shard t ~id shard = record_line t (shard_line ~id shard)
-let record_done t ~id ~digest = record_line t (Printf.sprintf "done %d %s" id digest)
-let record_fail t ~id = record_line t (Printf.sprintf "fail %d" id)
-
-let close t =
-  Mutex.lock t.mutex;
-  if not t.closed then begin
-    t.closed <- true;
-    close_out t.oc
-  end;
-  Mutex.unlock t.mutex
+  let t, records = Engine.Journal.start schema ~path ~resume:true in
+  (t, fold records)

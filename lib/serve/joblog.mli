@@ -1,19 +1,20 @@
 (** Per-job service journal: the crash-recovery log of [fi serve].
 
-    Line-delimited plain text, in the style of {!Engine.Journal}: one
-    versioned header line, then for every admitted job a [job] line
-    (spec + shard size, the client-supplied output path last as an
-    escaped OCaml string literal so no byte of it can forge a line), a
-    [shard] line per completed shard tally,
-    and finally a [done] (digest) or [fail] line.  Every append is
-    flushed, so a SIGKILLed server loses at most the shards in flight;
-    on restart, jobs with no terminal line are re-admitted with their
-    journaled shards pre-filled — only the missing shards re-run, and
-    the deterministic per-trial RNG streams make the merged result
-    byte-identical to an uninterrupted (or offline) run.
+    An {!Engine.Journal} log with one versioned header line, then for
+    every admitted job a [job] record (spec + shard size, the
+    client-supplied output path last as an escaped OCaml string literal
+    so no byte of it can forge a line), a [shard] record per completed
+    shard tally, and finally a [done] (digest) or [fail] record.  Every
+    record is flushed as it is appended, so a SIGKILLed server loses at
+    most the shards in flight; on restart, jobs with no terminal record
+    are re-admitted with their journaled shards pre-filled — only the
+    missing shards re-run, and the deterministic per-trial RNG streams
+    make the merged result byte-identical to an uninterrupted (or
+    offline) run.
 
-    Unparseable lines (a crash mid-append) are skipped on load, and a
-    header mismatch is refused, exactly as {!Engine.Journal}. *)
+    A record counts only if its line ends in ['\n']: the unterminated
+    tail a crash mid-append leaves is ignored on load and truncated by
+    {!start} before the next append.  A header mismatch is refused. *)
 
 type shard = {
   s_tool : Core.Campaign.tool;
@@ -24,6 +25,12 @@ type shard = {
   s_tally : Core.Verdict.tally;
 }
 
+type record =
+  | Job of { id : int; chunk : int; job : Wire.job }
+  | Shard of { id : int; shard : shard }
+  | Done of { id : int; digest : string }
+  | Fail of { id : int }
+
 type entry = {
   e_id : int;
   e_chunk : int;  (** shard size the job was planned with *)
@@ -33,22 +40,15 @@ type entry = {
   mutable e_failed : bool;
 }
 
-type t
+val schema : record Engine.Journal.schema
+(** The [# fi-serve-journal v3] header and the codec of the four record
+    kinds. *)
 
-val start : path:string -> t * entry list
+val start : path:string -> record Engine.Journal.t * entry list
 (** Open (or create) the journal.  An existing file is validated and
     loaded — the returned entries are every journaled job, terminal or
-    not, in id order — and subsequent records append.
+    not, in id order — and subsequent {!Engine.Journal.record}s append.
     @raise Invalid_argument if the existing header does not match. *)
 
-val record_job : t -> id:int -> chunk:int -> Wire.job -> unit
-val record_shard : t -> id:int -> shard -> unit
-val record_done : t -> id:int -> digest:string -> unit
-val record_fail : t -> id:int -> unit
-val close : t -> unit
-
-(** {2 Plumbing, exposed for tests} *)
-
-val job_line : id:int -> chunk:int -> Wire.job -> string
-val shard_line : id:int -> shard -> string
 val load : path:string -> entry list
+(** The entries of a journal file, as {!start} returns them. *)

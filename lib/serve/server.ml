@@ -169,6 +169,7 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
       let j, entries = Joblog.start ~path in
       (Some j, entries)
   in
+  let log r = Option.iter (fun j -> Engine.Journal.record j r) journal in
   let pool = Engine.Pool.create ~size:(max 1 cfg.pool_size) () in
   let cancelled = Atomic.make false in
   let cq : completion Queue.t = Queue.create () in
@@ -327,9 +328,7 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
     in
     let csv = Core.Campaign.to_csv cells in
     let digest = Digest.to_hex (Digest.string csv) in
-    (match journal with
-    | Some j -> Joblog.record_done j ~id:js.js_id ~digest
-    | None -> ());
+    log (Joblog.Done { id = js.js_id; digest });
     (match js.js_job.Wire.j_out with
     | Some path -> ( try write_file path csv with Sys_error _ -> ())
     | None -> ());
@@ -346,9 +345,7 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
     if not (js.js_failed || js.js_finished) then begin
       js.js_failed <- true;
       decr active_jobs;
-      (match journal with
-      | Some j -> Joblog.record_fail j ~id:js.js_id
-      | None -> ());
+      log (Joblog.Fail { id = js.js_id });
       (match js.js_conn with
       | Some c ->
         c.c_jobs <- c.c_jobs - 1;
@@ -366,18 +363,20 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
       w.w_delivered.(k) <- true;
       w.w_left <- w.w_left - 1;
       let first, count = cs.cs_shards.(k) in
-      (match journal with
-      | Some j ->
-        Joblog.record_shard j ~id:w.w_job.js_id
-          {
-            Joblog.s_tool = cell.c_tool;
-            s_category = cell.c_category;
-            s_first = first;
-            s_count = count;
-            s_population = cell.c_population;
-            s_tally = cell.c_tally;
-          }
-      | None -> ());
+      log
+        (Joblog.Shard
+           {
+             id = w.w_job.js_id;
+             shard =
+               {
+                 s_tool = cell.c_tool;
+                 s_category = cell.c_category;
+                 s_first = first;
+                 s_count = count;
+                 s_population = cell.c_population;
+                 s_tally = cell.c_tally;
+               };
+           });
       (match w.w_job.js_conn with
       | Some c ->
         Obs.Metrics.incr m_batches;
@@ -615,9 +614,7 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
               Plan.default_chunk ~pool:(Engine.Pool.size pool)
                 ~trials:job.Wire.j_trials
           in
-          (match journal with
-          | Some j -> Joblog.record_job j ~id ~chunk job
-          | None -> ());
+          log (Joblog.Job { id; chunk; job });
           send c (Wire.Ack { job = id });
           Obs.Metrics.incr m_admitted;
           incr n_admitted;
@@ -691,10 +688,7 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
       next_id := max !next_id (e.e_id + 1);
       if not (e.e_done || e.e_failed) then
         match Plan.validate e.e_job with
-        | Error _ -> (
-          match journal with
-          | Some j -> Joblog.record_fail j ~id:e.e_id
-          | None -> ())
+        | Error _ -> log (Joblog.Fail { id = e.e_id })
         | Ok _ ->
           Obs.Metrics.incr m_resumed;
           incr n_resumed;
@@ -715,7 +709,7 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
       (try Unix.close wake_r with Unix.Unix_error _ -> ());
       (try Unix.close wake_w with Unix.Unix_error _ -> ());
       (try Sys.remove cfg.socket with Sys_error _ -> ());
-      match journal with Some j -> Joblog.close j | None -> ())
+      match journal with Some j -> Engine.Journal.close j | None -> ())
     (fun () ->
       let running = ref true in
       while !running do

@@ -17,8 +17,12 @@
 # tree-walking interpreters, CSV and manifest digests compared at
 # --jobs 1 and 4); the snapshot executor is held to direct from-entry
 # trials by test_core and test_compile.  Finally a journaled
-# campaign is interrupted (journal truncated mid-grid) and resumed,
-# and a resume against a mismatched journal header must be refused.
+# campaign is interrupted twice and resumed each time: once with the
+# journal cut between records, once with it cut inside a record (the
+# torn line must be dropped and the next append must not glue onto
+# it, so the resumed journal holds the same records as the
+# uninterrupted one); and a resume against a mismatched journal header
+# must be refused.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -217,6 +221,26 @@ cmp "$tmp/camp-full.csv" "$tmp/camp-resumed.csv" || {
 }
 
 echo "OK: resumed campaign CSV byte-identical to the uninterrupted run"
+
+# Interrupt mid-append: the header, three cells, and the fourth record
+# without its last byte and its newline.
+head -n 4 "$tmp/journal-full" > "$tmp/journal-torn"
+awk 'NR == 5 { printf "%s", substr($0, 1, length($0) - 1) }' \
+    "$tmp/journal-full" >> "$tmp/journal-torn"
+camp --journal "$tmp/journal-torn" --resume --csv "$tmp/camp-torn.csv"
+
+cmp "$tmp/camp-full.csv" "$tmp/camp-torn.csv" || {
+    echo "FAIL: campaign resumed from a torn record differs from the uninterrupted run" >&2
+    exit 1
+}
+sort "$tmp/journal-full" > "$tmp/journal-full.sorted"
+sort "$tmp/journal-torn" > "$tmp/journal-torn.sorted"
+cmp "$tmp/journal-full.sorted" "$tmp/journal-torn.sorted" || {
+    echo "FAIL: journal resumed from a torn record holds other records than the uninterrupted one" >&2
+    exit 1
+}
+
+echo "OK: torn record dropped; resumed CSV and journal match the uninterrupted run"
 
 echo "== resume smoke: mismatched journal header must be refused =="
 if dune exec --no-build bin/fi.exe -- campaign mcf \

@@ -251,10 +251,12 @@ let test_journal_roundtrip () =
   with_temp_file (fun path ->
       let run = Engine.Scheduler.run ~journal:path small_config [ libquantum ] in
       let cells = run.Engine.Scheduler.cells in
+      let grid = grid_for [ libquantum ] in
+      let schema = Engine.Journal.cells ~grid small_config in
       (* Every cell round-trips through its line format... *)
       List.iter
         (fun cell ->
-          match Engine.Journal.parse_cell (Engine.Journal.cell_line cell) with
+          match schema.decode (schema.encode cell) with
           | Some cell' ->
             Alcotest.(check string) "roundtrip"
               (Core.Campaign.to_csv [ cell ])
@@ -262,8 +264,7 @@ let test_journal_roundtrip () =
           | None -> Alcotest.fail "cell line did not parse back")
         cells;
       (* ...and the journal file holds the whole campaign. *)
-      let grid = grid_for [ libquantum ] in
-      let loaded = Engine.Journal.load ~path ~grid small_config in
+      let loaded = Engine.Journal.load schema ~path in
       Alcotest.(check int) "all cells journaled" (List.length cells)
         (List.length loaded);
       (* A garbage/truncated trailing line is ignored on load. *)
@@ -271,10 +272,12 @@ let test_journal_roundtrip () =
       output_string oc "cell mcf LLFI load 12 tru";
       close_out oc;
       Alcotest.(check int) "truncated tail skipped" (List.length cells)
-        (List.length (Engine.Journal.load ~path ~grid small_config));
+        (List.length (Engine.Journal.load schema ~path));
       (* A journal for another config is rejected. *)
       match
-        Engine.Journal.load ~path ~grid { small_config with seed = 999 }
+        Engine.Journal.load
+          (Engine.Journal.cells ~grid { small_config with seed = 999 })
+          ~path
       with
       | _ -> Alcotest.fail "mismatched header must be rejected"
       | exception Invalid_argument _ -> ())
@@ -313,15 +316,16 @@ let test_journal_resume_skips_completed () =
       let lines = In_channel.with_open_text path In_channel.input_lines in
       (* Simulate a run killed after three cells: header + 3 records. *)
       let truncated = List.filteri (fun i _ -> i < 4) lines in
+      let schema = Engine.Journal.cells ~grid:(grid_for [ mcf ]) small_config in
       (* Poison the surviving tallies so a re-run of those cells would be
          detectable: resume must carry these through verbatim. *)
       let poisoned =
         List.map
           (fun line ->
-            match Engine.Journal.parse_cell line with
+            match schema.decode line with
             | None -> line  (* header *)
             | Some cell ->
-              Engine.Journal.cell_line
+              schema.encode
                 {
                   cell with
                   c_tally =
@@ -379,6 +383,60 @@ let test_resume_from_fixed_chunk_journal () =
       Alcotest.(check string) "csv identical across chunking policies"
         (Core.Campaign.to_csv fixed.Engine.Scheduler.cells)
         (Core.Campaign.to_csv resumed.Engine.Scheduler.cells))
+
+(* A crash can cut a journal at any byte: cell and xcell logs must drop
+   exactly the torn record, and a resume must append cleanly after it. *)
+let cell_key_gen =
+  QCheck.Gen.(
+    triple (oneofl [ "mcf"; "hmmer" ])
+      (oneofl [ Core.Campaign.Llfi_tool; Core.Campaign.Pinfi_tool ])
+      (oneofl Core.Category.all))
+
+let test_cell_torn_tail =
+  Torn_tail.property ~name:"cell journal drops exactly a torn tail" ~count:20
+    (Engine.Journal.cells ~grid:(grid_for [ mcf ]) small_config)
+    QCheck.Gen.(
+      map
+        (fun ((c_workload, c_tool, c_category), (c_population, c_tally)) ->
+          {
+            Core.Campaign.c_workload;
+            c_tool;
+            c_category;
+            c_model = small_config.model;
+            c_population;
+            c_tally;
+          })
+        (pair cell_key_gen (pair nat (QCheck.get_gen tally_arbitrary))))
+
+let test_xcell_torn_tail =
+  let model = Core.Fault_model.Stuck_at_1 in
+  Torn_tail.property ~name:"xcell journal drops exactly a torn tail" ~count:20
+    (Engine.Journal.exact_cells ~grid:(grid_for [ mcf ]) ~seed:3 ~prune:true
+       ~sample_bound:500 model)
+    QCheck.Gen.(
+      map
+        (fun ((e_workload, e_tool, e_category), (counts, e_tally, e_bound)) ->
+          match counts with
+          | [ e_population; e_enumerated; e_pruned_dead; e_pruned_masked;
+              e_pruned_equiv; e_executed; e_unit ] ->
+            {
+              Core.Campaign.e_workload;
+              e_tool;
+              e_category;
+              e_model = model;
+              e_population;
+              e_enumerated;
+              e_pruned_dead;
+              e_pruned_masked;
+              e_pruned_equiv;
+              e_executed;
+              e_unit;
+              e_tally;
+              e_bound;
+            }
+          | _ -> assert false)
+        (pair cell_key_gen
+           (triple (list_repeat 7 nat) (QCheck.get_gen tally_arbitrary) float)))
 
 (* --- Rejoin --- *)
 
@@ -440,5 +498,7 @@ let () =
           ( "resume from fixed-chunk journal",
             `Slow,
             test_resume_from_fixed_chunk_journal );
+          QCheck_alcotest.to_alcotest test_cell_torn_tail;
+          QCheck_alcotest.to_alcotest test_xcell_torn_tail;
         ] );
     ]

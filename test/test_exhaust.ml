@@ -246,13 +246,17 @@ let test_xcell_roundtrip () =
       e_bound = 0.012345678912345678;
     }
   in
-  (match Engine.Journal.parse_xcell (Engine.Journal.xcell_line e) with
+  let schema =
+    Engine.Journal.exact_cells ~grid:"mcf|LLFI|all" ~seed:0 ~prune:true
+      ~sample_bound:0 Core.Fault_model.Bitflip
+  in
+  (match schema.decode (schema.encode e) with
   | Some e' ->
     Alcotest.(check bool) "xcell line round-trips bit-exactly" true (e = e')
   | None -> Alcotest.fail "xcell line did not parse");
   Alcotest.(check (option unit)) "campaign cell lines are not xcells" None
     (Option.map ignore
-       (Engine.Journal.parse_xcell "cell mcf LLFI all 1 2 3 4 5 6 7 8"))
+       (schema.decode "cell mcf LLFI all 1 2 3 4 5 6 7 8"))
 
 let () =
   Alcotest.run "exhaust"

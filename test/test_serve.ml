@@ -295,12 +295,15 @@ let test_joblog_roundtrip () =
       Sys.remove path;
       let t, entries = Joblog.start ~path in
       Alcotest.(check int) "fresh journal is empty" 0 (List.length entries);
-      Joblog.record_job t ~id:1 ~chunk:10 (sample_job (Some "/tmp/out with space.csv"));
-      Joblog.record_shard t ~id:1 sample_shard;
-      Joblog.record_job t ~id:2 ~chunk:5 (sample_job None);
-      Joblog.record_done t ~id:1 ~digest:"cafebabe";
-      Joblog.record_fail t ~id:2;
-      Joblog.close t;
+      let out = Some "/tmp/out with space.csv" in
+      Engine.Journal.record t
+        (Joblog.Job { id = 1; chunk = 10; job = sample_job out });
+      Engine.Journal.record t (Joblog.Shard { id = 1; shard = sample_shard });
+      Engine.Journal.record t
+        (Joblog.Job { id = 2; chunk = 5; job = sample_job None });
+      Engine.Journal.record t (Joblog.Done { id = 1; digest = "cafebabe" });
+      Engine.Journal.record t (Joblog.Fail { id = 2 });
+      Engine.Journal.close t;
       match Joblog.load ~path with
       | [ e1; e2 ] ->
         Alcotest.(check int) "id order" 1 e1.Joblog.e_id;
@@ -318,9 +321,10 @@ let test_joblog_torn_tail () =
   with_tmp (fun path ->
       Sys.remove path;
       let t, _ = Joblog.start ~path in
-      Joblog.record_job t ~id:1 ~chunk:10 (sample_job None);
-      Joblog.record_shard t ~id:1 sample_shard;
-      Joblog.close t;
+      Engine.Journal.record t
+        (Joblog.Job { id = 1; chunk = 10; job = sample_job None });
+      Engine.Journal.record t (Joblog.Shard { id = 1; shard = sample_shard });
+      Engine.Journal.close t;
       (* simulate a SIGKILL mid-append: a torn, unterminated record *)
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "shard 1 LLFI all 20 10 123";
@@ -371,9 +375,11 @@ let test_joblog_out_roundtrip =
       with_tmp (fun path ->
           Sys.remove path;
           let t, _ = Joblog.start ~path in
-          Joblog.record_job t ~id:1 ~chunk:10 (sample_job (Some out));
-          Joblog.record_job t ~id:2 ~chunk:5 (sample_job None);
-          Joblog.close t;
+          Engine.Journal.record t
+            (Joblog.Job { id = 1; chunk = 10; job = sample_job (Some out) });
+          Engine.Journal.record t
+            (Joblog.Job { id = 2; chunk = 5; job = sample_job None });
+          Engine.Journal.close t;
           match Joblog.load ~path with
           | [ e1; e2 ] ->
             e1.Joblog.e_job = sample_job (Some out)
@@ -381,6 +387,65 @@ let test_joblog_out_roundtrip =
             && e2.Joblog.e_id = 2
             && e2.Joblog.e_job = sample_job None
           | _ -> false))
+
+(* A crash can cut the journal at any byte, inside an escaped output
+   path included: every record kind must drop exactly a torn tail. *)
+let test_joblog_torn_tail_everywhere =
+  let nonempty g = QCheck.Gen.list_size (QCheck.Gen.int_range 1 3) g in
+  let job_gen =
+    QCheck.Gen.(
+      map
+        (fun ( (j_workload, j_tools, j_categories),
+               (j_model, j_trials, j_seed),
+               j_out ) ->
+          {
+            Wire.j_workload;
+            j_tools;
+            j_categories;
+            j_model;
+            j_trials;
+            j_seed;
+            j_out;
+          })
+        (triple
+           (triple
+              (oneofl [ "mcf"; "bzip2" ])
+              (nonempty tool_gen) (nonempty cat_gen))
+           (triple model_gen small_nat small_nat)
+           (option str_gen)))
+  in
+  let shard_gen =
+    QCheck.Gen.(
+      map
+        (fun ((s_tool, s_category), (s_first, s_count, s_population), s_tally)
+           ->
+          {
+            Joblog.s_tool;
+            s_category;
+            s_first;
+            s_count;
+            s_population;
+            s_tally;
+          })
+        (triple (pair tool_gen cat_gen)
+           (triple small_nat small_nat nat)
+           tally_gen))
+  in
+  Torn_tail.property ~name:"journal drops exactly a torn tail" ~count:20
+    Joblog.schema
+    QCheck.Gen.(
+      small_nat >>= fun id ->
+      oneof
+        [
+          map2
+            (fun chunk job -> Joblog.Job { id; chunk; job })
+            small_nat job_gen;
+          map (fun shard -> Joblog.Shard { id; shard }) shard_gen;
+          map
+            (fun n -> Joblog.Done { id; digest = Printf.sprintf "%08x" n })
+            nat;
+          return (Joblog.Fail { id });
+        ])
 
 (* --- in-process service --- *)
 
@@ -606,17 +671,22 @@ let test_journal_resume_headless () =
       Core.Category.Load ~first:0 ~count:chunk
   in
   let t, _ = Joblog.start ~path:journal in
-  Joblog.record_job t ~id:1 ~chunk job;
-  Joblog.record_shard t ~id:1
-    {
-      Joblog.s_tool = Core.Campaign.Pinfi_tool;
-      s_category = Core.Category.Load;
-      s_first = 0;
-      s_count = chunk;
-      s_population = first_shard.Core.Campaign.c_population;
-      s_tally = first_shard.Core.Campaign.c_tally;
-    };
-  Joblog.close t;
+  Engine.Journal.record t (Joblog.Job { id = 1; chunk; job });
+  Engine.Journal.record t
+    (Joblog.Shard
+       {
+         id = 1;
+         shard =
+           {
+             s_tool = Core.Campaign.Pinfi_tool;
+             s_category = Core.Category.Load;
+             s_first = 0;
+             s_count = chunk;
+             s_population = first_shard.Core.Campaign.c_population;
+             s_tally = first_shard.Core.Campaign.c_tally;
+           };
+       });
+  Engine.Journal.close t;
   let server_config =
     {
       (Server.default ~socket) with
@@ -674,6 +744,7 @@ let () =
           ("torn tail is skipped", `Quick, test_joblog_torn_tail);
           ("header mismatch refused", `Quick, test_joblog_header_mismatch);
           QCheck_alcotest.to_alcotest test_joblog_out_roundtrip;
+          QCheck_alcotest.to_alcotest test_joblog_torn_tail_everywhere;
         ] );
       ( "service",
         [
