@@ -303,10 +303,10 @@ let enumerate (p : prepared) tool category =
   | Llfi_tool -> Llfi.enumerate p.llfi category
   | Pinfi_tool -> Pinfi.enumerate p.pinfi category
 
-let inject_bit ?model r ~target ~bit =
+let inject_bit ~model r ~target ~bit =
   match r.r_impl with
-  | Lrun lr -> Llfi.inject_bit ?model lr ~target ~bit
-  | Prun pr -> Pinfi.inject_bit ?model pr ~target ~bit
+  | Lrun lr -> Llfi.inject_bit ~model lr ~target ~bit
+  | Prun pr -> Pinfi.inject_bit ~model pr ~target ~bit
 
 (* An exact (exhaustive or pruned-exhaustive) cell.  The tally is in
    weight units: the sampler draws an instance uniformly and then a bit

@@ -172,9 +172,9 @@ val enumerate : prepared -> tool -> Category.t -> Vm.Fault_space.instance array
 (** The exhaustive pre-pass ({!Llfi.enumerate} / {!Pinfi.enumerate}). *)
 
 val inject_bit :
-  ?model:Fault_model.t -> runner -> target:int -> bit:int -> Vm.Outcome.stats
-(** Deterministic replay of one (instance, bit) fault under [model]
-    (default {!Fault_model.Bitflip}); consumes no randomness
+  model:Fault_model.t -> runner -> target:int -> bit:int -> Vm.Outcome.stats
+(** Deterministic replay of one (instance, bit) fault under [model];
+    consumes no randomness
     ({!Llfi.inject_bit} / {!Pinfi.inject_bit}). *)
 
 type exact_cell = {

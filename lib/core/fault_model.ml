@@ -14,4 +14,3 @@ let name = Vm.Fault_model.name
 let of_name = Vm.Fault_model.of_name
 let all = Vm.Fault_model.all
 let equal = Vm.Fault_model.equal
-let draws = Vm.Fault_model.draws

@@ -15,4 +15,3 @@ val name : t -> string
 val of_name : string -> t option
 val all : t list
 val equal : t -> t -> bool
-val draws : t -> int

@@ -166,8 +166,7 @@ let enumerate t category =
   Vm.Ir_exec.enumerate ?fast:t.fast t.compiled ~inputs:t.inputs
     ~inj_mask:(Category.mask category) ~max_steps:t.max_steps
 
-let inject_bit ?(track_use = false) ?(model = Fault_model.Bitflip) r ~target
-    ~bit =
+let inject_bit ?(track_use = false) ~model r ~target ~bit =
   (* With [forced_bit] set, the trial draws nothing from its rng: the
      target is supplied and the bit is pinned, so a constant dummy
      stream keeps the result a pure function of (target, bit, model). *)

@@ -107,7 +107,7 @@ val enumerate : t -> Category.t -> Vm.Fault_space.instance array
 
 val inject_bit :
   ?track_use:bool ->
-  ?model:Fault_model.t ->
+  model:Fault_model.t ->
   runner ->
   target:int ->
   bit:int ->

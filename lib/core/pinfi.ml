@@ -165,8 +165,7 @@ let enumerate t category =
   Vm.X86_exec.enumerate ~policy:t.config.policy ?fast:t.fast ~inputs:t.inputs
     ~inj_mask:(Category.mask category) ~max_steps:t.max_steps t.loaded
 
-let inject_bit ?(track_use = false) ?(model = Fault_model.Bitflip) r ~target
-    ~bit =
+let inject_bit ?(track_use = false) ~model r ~target ~bit =
   (* As [Llfi.inject_bit]: forced-bit trials draw nothing from the rng,
      so a constant dummy stream keeps results a pure function of
      (target, bit, model).  For a flags destination [bit] indexes the

@@ -29,13 +29,16 @@ let canonical_tasks ~tools ~categories workloads =
     workloads
 
 (* Trial ranges for one cell: whole by default, chunks of [chunk] when
-   splitting.  trials=0 still yields one empty range so the cell (and
-   its population) is produced. *)
+   splitting (campaign batches and service shards alike).  trials=0
+   still yields one empty range so the cell (and its population) is
+   produced. *)
 let ranges ~chunk trials =
   match chunk with
   | None -> [ (0, trials) ]
+  | Some n when n <= 0 ->
+    invalid_arg "Scheduler.ranges: chunk must be positive"
   | Some n ->
-    if trials <= 0 then [ (0, trials) ]
+    if trials <= 0 then [ (0, 0) ]
     else
       List.init
         ((trials + n - 1) / n)
@@ -99,7 +102,7 @@ let cached_runner p rejoin tool category =
 
 let merge_parts parts =
   match Array.to_list parts with
-  | [] -> invalid_arg "Scheduler: cell with no chunks"
+  | [] -> invalid_arg "Scheduler.merge_parts: cell with no parts"
   | Some (first : Core.Campaign.cell) :: rest ->
     let tally =
       List.fold_left

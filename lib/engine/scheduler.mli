@@ -91,9 +91,17 @@ val run :
 
 val ranges : chunk:int option -> int -> (int * int) list
 (** [(first, count)] trial ranges covering [0 .. trials-1] exactly
-    once, in order.  [chunk = None] yields the whole cell as one
-    range; [trials = 0] still yields one empty range so the cell (and
-    its population) is produced. *)
+    once, in order, none longer than [chunk] — a campaign's batches
+    and a served job's shards.  [chunk = None] yields the whole cell
+    as one range; with a chunk, [trials <= 0] yields the single empty
+    range [(0, 0)] so the cell (and its population) is still produced.
+    @raise Invalid_argument if [chunk] is [Some n] with [n <= 0]. *)
+
+val merge_parts : Core.Campaign.cell option array -> Core.Campaign.cell
+(** One cell from its ranges' results, all present, in range order:
+    the first part with the merged tally of all
+    ({!Core.Verdict.merge}).
+    @raise Invalid_argument on an empty array. *)
 
 val adaptive_chunk : jobs:int -> cells:int -> trials:int -> int option
 (** The default batch size for a grid of [cells] pending cells:

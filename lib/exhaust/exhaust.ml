@@ -95,8 +95,7 @@ let require_enumerable ~who model =
           campaign)"
          who (Core.Fault_model.name model))
 
-let fate ?(model = Core.Fault_model.Bitflip) tool
-    (inst : Vm.Fault_space.instance) ~bit =
+let fate ~model tool (inst : Vm.Fault_space.instance) ~bit =
   require_enumerable ~who:"Exhaust.fate" model;
   match model with
   | Core.Fault_model.Skip ->
@@ -146,8 +145,7 @@ type plan = {
    per instance (space = width; a stuck bit that equals its golden
    value joins the masked-bit bucket), [Skip] draws nothing (space = a
    single fault per instance, so the weight unit is 1). *)
-let plan_cell ?(model = Core.Fault_model.Bitflip) config tool
-    (instances : Vm.Fault_space.instance array) =
+let plan_cell ~model config tool (instances : Vm.Fault_space.instance array) =
   require_enumerable ~who:"Exhaust.plan_cell" model;
   let skip = model = Core.Fault_model.Skip in
   let stuck =
@@ -230,8 +228,8 @@ let sample_delta = 0.01 (* the certified bound holds with 99% confidence *)
    classes, deterministic in the exhaust seed.  Survivor mass is
    reassigned to the hit classes by cumulative rounding, so the total
    weight (and hence the tally denominator) stays exact. *)
-let sample_survivors ?(model = Core.Fault_model.Bitflip) config ~workload
-    ~tool ~category (survivors : cls array) =
+let sample_survivors ~model config ~workload ~tool ~category
+    (survivors : cls array) =
   let k = config.sample_bound in
   let n = Array.length survivors in
   let cumulative = Array.make (n + 1) 0 in
@@ -275,7 +273,7 @@ let sample_survivors ?(model = Core.Fault_model.Bitflip) config ~workload
 
 (* --- execution: one trial per surviving class --- *)
 
-let execute_range ?model (p : Core.Campaign.prepared) tool category
+let execute_range ~model (p : Core.Campaign.prepared) tool category
     (to_run : cls array) lo hi =
   let r = Core.Campaign.runner p tool category in
   let golden = Core.Campaign.golden_output p tool in
@@ -283,14 +281,14 @@ let execute_range ?model (p : Core.Campaign.prepared) tool category
   for k = lo to hi - 1 do
     let c = to_run.(k) in
     let stats =
-      Core.Campaign.inject_bit ?model r ~target:c.x_target ~bit:c.x_bit
+      Core.Campaign.inject_bit ~model r ~target:c.x_target ~bit:c.x_bit
     in
     let v = Core.Verdict.of_run ~golden_output:golden stats in
     Core.Verdict.add_n tally v c.x_weight
   done;
   tally
 
-let execute ?model ?pool p tool category (to_run : cls array) =
+let execute ~model ?pool p tool category (to_run : cls array) =
   let n = Array.length to_run in
   if n = 0 then Core.Verdict.fresh_tally ()
   else begin
@@ -306,11 +304,11 @@ let execute ?model ?pool p tool category (to_run : cls array) =
       match pool with
       | Some pl when shards > 1 ->
         Engine.Pool.map pl
-          (fun (lo, hi) -> execute_range ?model p tool category to_run lo hi)
+          (fun (lo, hi) -> execute_range ~model p tool category to_run lo hi)
           ranges
       | _ ->
         Array.map
-          (fun (lo, hi) -> execute_range ?model p tool category to_run lo hi)
+          (fun (lo, hi) -> execute_range ~model p tool category to_run lo hi)
           ranges
     in
     (* contiguous shards merged in order: the summed tally is the same

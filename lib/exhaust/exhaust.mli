@@ -66,15 +66,14 @@ val enumerable : Core.Fault_model.t -> bool
     [Load_value] the whole value range — both are Monte-Carlo-only. *)
 
 val fate :
-  ?model:Core.Fault_model.t ->
+  model:Core.Fault_model.t ->
   Core.Campaign.tool ->
   Vm.Fault_space.instance ->
   bit:int ->
   fate
 (** The per-fault pruning decision, stated independently of the batch
     planner; the property tests replay [Settled] faults straight-line
-    and check the prediction.  Model-aware ([?model], default
-    {!Core.Fault_model.Bitflip}): a stuck-at fault whose stuck value
+    and check the prediction.  Model-aware: a stuck-at fault whose stuck value
     equals the golden bit is settled benign (the write is unchanged),
     a stuck bit that differs from its golden value follows the bitflip
     rules (it {e is} a flip of that bit), and a [Skip] fault — [bit] is

@@ -24,56 +24,27 @@ type report = {
 
 (* --- static fault-space enumeration --- *)
 
-(* Flippable bits of an IR injection site: the width [Ir_exec.inject_int]
-   / [inject_float] draws from. *)
-let ir_site_bits (site : Vm.Ir_exec.site) =
-  match site.Vm.Ir_exec.site_instr.Ir.Instr.result with
-  | None -> 0
-  | Some v ->
-    let ty = v.Ir.Value.ty in
-    if Ir.Types.is_float ty then 64
-    else if Ir.Types.is_pointer ty then Support.Word.width
-    else Ir.Types.bit_width ty
-
-(* Flippable bits of an x86 site under the given policy: what
-   [X86_exec.inject] draws from. *)
-let x86_site_bits (policy : Vm.X86_exec.policy) (program : Backend.Program.t)
-    index =
-  match Vm.X86_exec.primary_dest program.Backend.Program.insns.(index) with
-  | Vm.X86_exec.Dgp _ -> Support.Word.width
-  | Vm.X86_exec.Dxmm _ -> if policy.Vm.X86_exec.xmm_low64_only then 64 else 128
-  | Vm.X86_exec.Dflags ->
-    let dependent =
-      policy.Vm.X86_exec.flag_dependent_bits
-      && index + 1 < Array.length program.Backend.Program.insns
-    in
-    List.length
-      (match program.Backend.Program.insns.(index + 1) with
-      | X86.Insn.Jcc (c, _) when dependent -> X86.Flags.dependent_bits c
-      | _ -> X86.Flags.all_bits
-      | exception Invalid_argument _ -> X86.Flags.all_bits)
-  | Vm.X86_exec.Dnone -> 0
-
 (* Static sites of one cell: (site id, flippable bits, dynamic count). *)
 let llfi_sites (p : Campaign.prepared) category dyn =
   let cmask = Category.mask category in
   Array.to_list (Vm.Ir_exec.sites p.Campaign.llfi.Core.Llfi.compiled)
   |> List.filter_map (fun (s : Vm.Ir_exec.site) ->
          if s.Vm.Ir_exec.site_mask land cmask <> 0 then
-           Some (s.Vm.Ir_exec.site_gid, ir_site_bits s, dyn s.Vm.Ir_exec.site_gid)
+           Some
+             ( s.Vm.Ir_exec.site_gid,
+               s.Vm.Ir_exec.site_width,
+               dyn s.Vm.Ir_exec.site_gid )
          else None)
 
 let pinfi_sites (p : Campaign.prepared) category dyn =
   let cmask = Category.mask category in
   let loaded = p.Campaign.pinfi.Core.Pinfi.loaded in
   let policy = p.Campaign.pinfi.Core.Pinfi.config.Core.Pinfi.policy in
+  let width = Vm.X86_exec.site_width policy loaded.Vm.X86_exec.program in
   let out = ref [] in
   Array.iteri
     (fun idx mask ->
-      if mask land cmask <> 0 then
-        out :=
-          (idx, x86_site_bits policy loaded.Vm.X86_exec.program idx, dyn idx)
-          :: !out)
+      if mask land cmask <> 0 then out := (idx, width idx, dyn idx) :: !out)
     loaded.Vm.X86_exec.masks;
   List.rev !out
 
@@ -95,20 +66,6 @@ let pinfi_dyn (p : Campaign.prepared) =
   fun idx -> counts.(idx)
 
 (* --- trial sampling --- *)
-
-(* "bit 17 of i64 result" / "bit 3 of rax" / "flag bit 6" -> bit id *)
-let bit_of_note note =
-  let num_at i =
-    let j = ref i in
-    let n = String.length note in
-    while !j < n && note.[!j] >= '0' && note.[!j] <= '9' do
-      incr j
-    done;
-    if !j = i then None else Some (int_of_string (String.sub note i (!j - i)))
-  in
-  if String.length note >= 9 && String.sub note 0 9 = "flag bit " then num_at 9
-  else if String.length note >= 4 && String.sub note 0 4 = "bit " then num_at 4
-  else None
 
 (* Bits are tracked as (site, bit, model-name) triples: the model axis
    multiplies the fault space exactly as it multiplies a campaign
@@ -142,8 +99,8 @@ let measure ?(jobs = 1) ?(workloads = Workloads.all)
   let run_one model =
     let config = { Campaign.default_config with trials; seed; model } in
     let mname = Core.Fault_model.name model in
-    (* Skip and Load_value notes carry no bit position: the whole site
-       is their one fault, recorded as bit 0. *)
+    (* Skip and Load_value draw no bit: the whole site is their one
+       fault, recorded as bit 0. *)
     let bitless =
       match model with
       | Core.Fault_model.Skip | Core.Fault_model.Load_value -> true
@@ -172,9 +129,9 @@ let measure ?(jobs = 1) ?(workloads = Workloads.all)
       if site >= 0 then begin
         Hashtbl.replace t.site_hits site
           (1 + Option.value ~default:0 (Hashtbl.find_opt t.site_hits site));
-        match bit_of_note stats.Vm.Outcome.fault_note with
-        | Some bit -> Hashtbl.replace t.bits (site, bit, mname) ()
-        | None -> if bitless then Hashtbl.replace t.bits (site, 0, mname) ()
+        let bit = stats.Vm.Outcome.fault_bit in
+        if bit >= 0 then Hashtbl.replace t.bits (site, bit, mname) ()
+        else if bitless then Hashtbl.replace t.bits (site, 0, mname) ()
       end;
       Mutex.unlock mutex
     in

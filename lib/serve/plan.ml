@@ -23,14 +23,6 @@ let default_chunk ~pool ~trials =
   if trials <= 1 then 1
   else max 1 (min 50 ((trials + pool - 1) / max 1 pool))
 
-let shards ~chunk ~trials =
-  if chunk <= 0 then invalid_arg "Plan.shards: chunk must be positive";
-  if trials <= 0 then [ (0, 0) ]
-  else
-    List.init
-      ((trials + chunk - 1) / chunk)
-      (fun k -> (k * chunk, min chunk (trials - (k * chunk))))
-
 let cell_id ~workload ~tool ~category ~model ~trials ~seed ~chunk =
   {
     p_workload = workload;

@@ -7,7 +7,7 @@
     Determinism contract: a job's cells are its [tools x categories]
     grid in the given order (the scheduler's canonical order for one
     workload), each cell's trial range is partitioned into contiguous
-    shards by {!shards}, and every shard runs through
+    shards by {!Engine.Scheduler.ranges}, and every shard runs through
     {!Core.Campaign.run_cell_range} — whose per-trial RNG streams make
     the merged tally byte-identical to a sequential offline run for
     {e any} shard size. *)
@@ -37,12 +37,6 @@ val default_chunk : pool:int -> trials:int -> int
     that a single-cell job still feeds every domain (and streams
     incremental batches), floored at 1 and capped so tiny jobs are not
     shredded into per-trial tasks. *)
-
-val shards : chunk:int -> trials:int -> (int * int) list
-(** [(first, count)] shards partitioning [0 .. trials-1] in order.
-    [trials <= 0] yields the single empty shard [(0, 0)] so an empty
-    cell still produces a result (and a population).
-    @raise Invalid_argument if [chunk <= 0]. *)
 
 val cell_id :
   workload:string ->

@@ -305,20 +305,6 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
       | Unix.Unix_error _ -> close_conn c
   in
   (* --- job lifecycle (select-loop domain only) --- *)
-  let merge_cell cs =
-    match Array.to_list cs.cs_parts with
-    | Some (first : Core.Campaign.cell) :: rest ->
-      let tally =
-        List.fold_left
-          (fun acc part ->
-            match part with
-            | Some (c : Core.Campaign.cell) -> Core.Verdict.merge acc c.c_tally
-            | None -> assert false)
-          first.c_tally rest
-      in
-      { first with c_tally = tally }
-    | _ -> assert false
-  in
   let finish_job js =
     js.js_finished <- true;
     decr active_jobs;
@@ -406,7 +392,8 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
   let fill_part cs k cell =
     cs.cs_parts.(k) <- Some cell;
     cs.cs_left <- cs.cs_left - 1;
-    if cs.cs_left = 0 then cs.cs_merged <- Some (merge_cell cs);
+    if cs.cs_left = 0 then
+      cs.cs_merged <- Some (Engine.Scheduler.merge_parts cs.cs_parts);
     List.iter (fun w -> deliver w cs k cell) cs.cs_waiters
   in
   let on_completion = function
@@ -498,7 +485,10 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
             Obs.Metrics.incr m_cells_shared;
             (cs, false)
           | None ->
-            let shards = Array.of_list (Plan.shards ~chunk ~trials:job.Wire.j_trials) in
+            let shards =
+              Array.of_list
+                (Engine.Scheduler.ranges ~chunk:(Some chunk) job.Wire.j_trials)
+            in
             let cs =
               {
                 cs_key = key;

@@ -5,9 +5,10 @@
    multi-bit upsets, stuck-at-0/1, instruction skip and corrupted
    destination values.
 
-   The type lives in lib/vm (not lib/core) because both execution
-   tiers dispatch on it inside their injection hot paths; lib/core
-   re-exports it as [Core.Fault_model]. *)
+   The type lives in lib/vm (not lib/core) because its semantics do:
+   [Lane.corrupt], which both VMs inject through, is the one place a
+   model corrupts a value.  lib/core re-exports it as
+   [Core.Fault_model]. *)
 
 type t =
   | Bitflip  (* flip one uniformly drawn destination bit (the paper) *)
@@ -46,15 +47,6 @@ let of_name s =
 let all = [ Bitflip; Multi_bit 2; Stuck_at_0; Stuck_at_1; Skip; Load_value ]
 
 let equal (a : t) (b : t) = a = b
-
-(* How many RNG draws the model consumes at the injection point, for
-   planners that must keep trial streams aligned.  [Skip] consumes
-   none; [Load_value] consumes one full-width draw per 63-bit word. *)
-let draws = function
-  | Bitflip | Stuck_at_0 | Stuck_at_1 -> 1
-  | Multi_bit n -> n
-  | Skip -> 0
-  | Load_value -> 1
 
 (* One injection's settings, as both VMs' [Inject] mode takes them. *)
 type fault = { model : t; forced_bit : int option; track_use : bool }

@@ -1,8 +1,9 @@
 (** The fault-model axis: which corruption an injection applies at its
     planned destination.  [Bitflip] is the paper's original model; the
     rest extend campaigns to multi-bit upsets, stuck-at faults,
-    instruction skip and corrupted load/destination values.  Re-exported
-    as [Core.Fault_model]. *)
+    instruction skip and corrupted load/destination values.  What each
+    model does to a destination is written once, in {!Lane.corrupt}.
+    Re-exported as [Core.Fault_model]. *)
 
 type t =
   | Bitflip  (** flip one uniformly drawn destination bit (the paper) *)
@@ -25,10 +26,6 @@ val all : t list
     [Multi_bit 2] for the multi-bit class. *)
 
 val equal : t -> t -> bool
-
-val draws : t -> int
-(** RNG draws the model consumes at the injection point (0 for
-    [Skip]). *)
 
 (** One injection's settings: the corruption, an optional pinned bit
     and first-use tracking.  Both VMs' [Inject] mode takes one. *)

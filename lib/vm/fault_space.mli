@@ -5,10 +5,9 @@
     For every dynamic instance of an injection candidate the pass
     records, in the order the Inject-mode countdown would meet them:
 
-    - the size of the instance's bit space (exactly the range the
-      Monte-Carlo sampler draws the flipped bit from — the declared IR
-      width, [Word.width] for a GP register, 64/128 for XMM, the
-      candidate-list length for flags);
+    - the size of the instance's bit space: the width of the
+      destination's {!Lane}, exactly the range the Monte-Carlo sampler
+      draws the faulted bit from;
     - how many times the destination value was read before being
       overwritten (or dying with its frame / the program);
     - which bits some read could observe ({e live} bits): a read

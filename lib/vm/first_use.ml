@@ -16,10 +16,3 @@ let of_name = function
   | "stack" -> Some Ustack
   | "data" -> Some Udata
   | _ -> None
-
-let describe = function
-  | Unone -> "never consumed (fault vanished)"
-  | Uaddr -> "memory address / GEP arithmetic"
-  | Ucontrol -> "control flow (branch condition, flags)"
-  | Ustack -> "stack or frame slot (spill, push/pop)"
-  | Udata -> "pure data"

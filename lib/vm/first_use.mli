@@ -21,6 +21,3 @@ val name : t -> string
 (** Stable one-token name, used in record files. *)
 
 val of_name : string -> t option
-
-val describe : t -> string
-(** Human-readable description for report legends. *)

@@ -483,6 +483,7 @@ type site = {
   site_mask : int;
   site_func : string;
   site_instr : Ir.Instr.t;
+  site_width : int;
 }
 
 let iter_compiled c f =
@@ -490,17 +491,33 @@ let iter_compiled c f =
     (fun cf ->
       Array.iter
         (fun b ->
-          Array.iter (fun p -> f cf.cname p.pgid p.pmask p.pmeta) b.phis;
-          Array.iter (fun ci -> f cf.cname ci.gid ci.mask ci.meta) b.body)
+          Array.iter
+            (fun p -> f cf.cname p.pgid p.pmask p.pmeta p.pdest)
+            b.phis;
+          Array.iter
+            (fun ci -> f cf.cname ci.gid ci.mask ci.meta ci.dest)
+            b.body)
         cf.cblocks)
     c.cfuncs
 
+(* The bits of the lane a fault into [dest] is drawn from. *)
+let dest_width = function
+  | DInt (_, w) -> Lane.width (Lane.int w)
+  | DFloat _ -> Lane.width Lane.f64
+  | DNone -> 0
+
 let sites c =
   let acc = ref [] in
-  iter_compiled c (fun cname gid mask meta ->
+  iter_compiled c (fun cname gid mask meta dest ->
       if mask <> 0 then
         acc :=
-          { site_gid = gid; site_mask = mask; site_func = cname; site_instr = meta }
+          {
+            site_gid = gid;
+            site_mask = mask;
+            site_func = cname;
+            site_instr = meta;
+            site_width = dest_width dest;
+          }
           :: !acc);
   let arr = Array.of_list !acc in
   Array.sort (fun a b -> compare a.site_gid b.site_gid) arr;
@@ -508,7 +525,7 @@ let sites c =
 
 let gid_limit c =
   let m = ref 0 in
-  iter_compiled c (fun _ gid _ _ -> if gid >= !m then m := gid + 1);
+  iter_compiled c (fun _ gid _ _ _ -> if gid >= !m then m := gid + 1);
   !m
 
 (* --- execution --- *)
@@ -599,7 +616,7 @@ type rej = {
   mutable rj_cnt : int;  (* body boundaries visited (trial probe clock) *)
   rj_journal : Rejoin.t option;  (* trial side: probe for reconvergence *)
   rj_rec : Rejoin.builder option;  (* record side: journal builder *)
-  mutable rj_seen : Rejoin.seen option;  (* trial side: loop detector *)
+  rj_seen : Rejoin.seen;  (* trial side: loop detector *)
 }
 
 type state = {
@@ -617,6 +634,7 @@ type state = {
   mutable injected : bool;
   mutable injected_step : int;
   mutable fault_note : string;
+  mutable fault_bit : int;  (* first drawn bit, -1 if none *)
   trace : trace option;
   track_use : bool;  (* classify the corrupted value's first consumer *)
   mutable fu_watch : fu_watch;
@@ -632,94 +650,17 @@ type state = {
 
 type ret = RVoid | RI of int | RF of float
 
-let output_cap = 1 lsl 20
 let max_call_depth = 20_000
 
-let emit st s =
-  if Buffer.length st.out < output_cap then Buffer.add_string st.out s
+let emit st s = Outcome.emit st.out s
 
-(* The exact bit-flip the sampler applies, also used by the enumeration
-   pre-pass to evaluate compare funnels and by exhaustive replay. *)
-let flip_int w v bit =
-  if w >= Word.width then Word.flip_bit v bit
-  else if w = 1 then v lxor 1
-  else Word.canon w (Word.to_unsigned w v lxor (1 lsl bit))
-
-(* [flip_int]'s stuck-at sibling: force bit [bit] of a [w]-bit value
-   to [b]. *)
-let set_int w v bit b =
-  if w >= Word.width then
-    if b then v lor (1 lsl bit) else v land lnot (1 lsl bit)
-  else if w = 1 then (if b then 1 else 0)
-  else
-    let u = Word.to_unsigned w v in
-    Word.canon w (if b then u lor (1 lsl bit) else u land lnot (1 lsl bit))
-
-let set_float f bit b =
-  Int64.float_of_bits (Bits.set_int64 (Int64.bits_of_float f) bit b)
-
-let inject_int st (inj : Phase.inj) w v =
+(* Record the applied fault in the run's stats fields. *)
+let injected st gid (f : _ Lane.fault) =
   st.injected <- true;
   st.injected_step <- st.steps;
-  match inj.model with
-  | Fault_model.Bitflip ->
-    let bit = Phase.draw_bit inj w in
-    st.fault_note <- Printf.sprintf "bit %d of %d-bit result" bit w;
-    flip_int w v bit
-  | Fault_model.Multi_bit n ->
-    let bit = Phase.draw_bit inj w in
-    let acc = ref (flip_int w v bit) in
-    for _ = 2 to n do
-      acc := flip_int w !acc (Rng.int inj.rng w)
-    done;
-    st.fault_note <-
-      Printf.sprintf "bit %d of %d-bit result (+%d more)" bit w (n - 1);
-    !acc
-  | Fault_model.Stuck_at_0 ->
-    let bit = Phase.draw_bit inj w in
-    st.fault_note <- Printf.sprintf "bit %d of %d-bit result stuck at 0" bit w;
-    set_int w v bit false
-  | Fault_model.Stuck_at_1 ->
-    let bit = Phase.draw_bit inj w in
-    st.fault_note <- Printf.sprintf "bit %d of %d-bit result stuck at 1" bit w;
-    set_int w v bit true
-  | Fault_model.Skip ->
-    st.fault_note <- Printf.sprintf "write of %d-bit result skipped" w;
-    inj.cap_i
-  | Fault_model.Load_value ->
-    st.fault_note <- Printf.sprintf "value of %d-bit result randomized" w;
-    Phase.draw_word inj w
-
-let inject_float st (inj : Phase.inj) f =
-  st.injected <- true;
-  st.injected_step <- st.steps;
-  match inj.model with
-  | Fault_model.Bitflip ->
-    let bit = Phase.draw_bit inj 64 in
-    st.fault_note <- Printf.sprintf "bit %d of f64 result" bit;
-    Bits.flip_float f bit
-  | Fault_model.Multi_bit n ->
-    let bit = Phase.draw_bit inj 64 in
-    let acc = ref (Bits.flip_float f bit) in
-    for _ = 2 to n do
-      acc := Bits.flip_float !acc (Rng.int inj.rng 64)
-    done;
-    st.fault_note <- Printf.sprintf "bit %d of f64 result (+%d more)" bit (n - 1);
-    !acc
-  | Fault_model.Stuck_at_0 ->
-    let bit = Phase.draw_bit inj 64 in
-    st.fault_note <- Printf.sprintf "bit %d of f64 result stuck at 0" bit;
-    set_float f bit false
-  | Fault_model.Stuck_at_1 ->
-    let bit = Phase.draw_bit inj 64 in
-    st.fault_note <- Printf.sprintf "bit %d of f64 result stuck at 1" bit;
-    set_float f bit true
-  | Fault_model.Skip ->
-    st.fault_note <- "write of f64 result skipped";
-    inj.cap_f
-  | Fault_model.Load_value ->
-    st.fault_note <- "value of f64 result randomized";
-    Int64.float_of_bits (Rng.next_int64 inj.rng)
+  st.fault_note <- f.note;
+  st.fault_bit <- f.bit;
+  st.fault_site <- gid
 
 let icmp_eval (p : Ir.Instr.icmp) w x y =
   match p with
@@ -778,38 +719,44 @@ let post_exec st mask gid dest ienv fenv e_env =
   | Phase.Enumerate rev ->
     (* Start tracking this instance's destination; instances accumulate
        in exactly the order the Inject countdown meets them, so index k
-       of the finished array is the fault [target = k] corrupts. *)
+       of the finished array is the fault [target = k] corrupts.
+       [dest] has just been written, so the env holds the golden
+       value. *)
     if mask land st.inj_mask <> 0 then begin
-      (* [dest] has just been written, so the env holds the golden
-         value — recorded so stuck-at pruning can compare stuck bits
-         against it. *)
-      let width, gold =
+      let b =
         match dest with
         | DInt (slot, w) ->
-          let v = ienv.(slot) in
-          ( w,
-            if w >= Word.width then Int64.of_int v
-            else Int64.of_int (Word.to_unsigned w v) )
-        | DFloat slot -> (64, Int64.bits_of_float fenv.(slot))
-        | DNone -> (1, 0L)
+          let b = Lane.instance (Lane.int w) ienv.(slot) in
+          e_env.(slot) <- Some b;
+          b
+        | DFloat slot ->
+          let b = Lane.instance Lane.f64 fenv.(slot) in
+          e_env.(slot) <- Some b;
+          b
+        | DNone -> Fault_space.create ~gold:0L ~width:1
       in
-      let b = Fault_space.create ~gold ~width in
-      rev := b :: !rev;
-      match dest with
-      | DInt (slot, _) | DFloat slot -> e_env.(slot) <- Some b
-      | DNone -> ()
+      rev := b :: !rev
     end
   | Phase.Injecting inj ->
     if mask land st.inj_mask <> 0 then begin
       if inj.countdown = 0 then begin
         match dest with
         | DInt (slot, w) ->
-          ienv.(slot) <- inject_int st inj w ienv.(slot);
-          st.fault_site <- gid;
+          let f =
+            Lane.corrupt (Lane.int w) inj
+              ~what:(Printf.sprintf "%d-bit result" w)
+              ~prior:inj.cap_i ienv.(slot)
+          in
+          ienv.(slot) <- f.value;
+          injected st gid f;
           if st.track_use then st.fu_watch <- FU_int (ienv, slot)
         | DFloat slot ->
-          fenv.(slot) <- inject_float st inj fenv.(slot);
-          st.fault_site <- gid;
+          let f =
+            Lane.corrupt Lane.f64 inj ~what:"f64 result" ~prior:inj.cap_f
+              fenv.(slot)
+          in
+          fenv.(slot) <- f.value;
+          injected st gid f;
           if st.track_use then st.fu_watch <- FU_float (fenv, slot)
         | DNone -> ()
       end;
@@ -914,46 +861,29 @@ let fu_scan_instr st (ci : cinstr) ienv fenv =
    (all before any write, matching the parallel evaluation), then phi
    destinations may overwrite the slot. *)
 let fu_scan_phis st (phis : cphi array) pred ienv fenv =
+  let scan reads writes =
+    if Array.exists reads phis then begin
+      st.first_use <- First_use.Udata;
+      st.fu_watch <- FU_off
+    end
+    else if Array.exists writes phis then st.fu_watch <- FU_off
+  in
   match st.fu_watch with
   | FU_off -> ()
   | FU_int (env, slot) ->
-    if env == ienv then begin
-      let read =
-        Array.exists
-          (fun p ->
-            Array.length p.psrcs_i > 0
-            && match p.psrcs_i.(pred) with S s -> s = slot | C _ -> false)
-          phis
-      in
-      if read then begin
-        st.first_use <- First_use.Udata;
-        st.fu_watch <- FU_off
-      end
-      else if
-        Array.exists
-          (fun p -> match p.pdest with DInt (d, _) -> d = slot | _ -> false)
-          phis
-      then st.fu_watch <- FU_off
-    end
+    if env == ienv then
+      scan
+        (fun p ->
+          Array.length p.psrcs_i > 0
+          && match p.psrcs_i.(pred) with S s -> s = slot | C _ -> false)
+        (fun p -> match p.pdest with DInt (d, _) -> d = slot | _ -> false)
   | FU_float (env, slot) ->
-    if env == fenv then begin
-      let read =
-        Array.exists
-          (fun p ->
-            Array.length p.psrcs_f > 0
-            && match p.psrcs_f.(pred) with FS s -> s = slot | FC _ -> false)
-          phis
-      in
-      if read then begin
-        st.first_use <- First_use.Udata;
-        st.fu_watch <- FU_off
-      end
-      else if
-        Array.exists
-          (fun p -> match p.pdest with DFloat d -> d = slot | _ -> false)
-          phis
-      then st.fu_watch <- FU_off
-    end
+    if env == fenv then
+      scan
+        (fun p ->
+          Array.length p.psrcs_f > 0
+          && match p.psrcs_f.(pred) with FS s -> s = slot | FC _ -> false)
+        (fun p -> match p.pdest with DFloat d -> d = slot | _ -> false)
 
 let fu_scan_term st term ienv fenv =
   match st.fu_watch with
@@ -1003,6 +933,17 @@ let enum_read_f (e_env : Fault_space.builder option array) op k =
   | FS s -> ( match e_env.(s) with Some b -> k b | None -> ())
   | FC _ -> ()
 
+(* A compare's funnel on each tracked operand: with two distinct live
+   instances, each one's single-fault trial sees the other operand
+   golden, so both funnels hold. *)
+let funnels funnel ta tb =
+  match (ta, tb) with
+  | None, None -> ()
+  | Some (s, bld), None | None, Some (s, bld) -> funnel s bld
+  | Some (s1, b1), Some (s2, b2) ->
+    funnel s1 b1;
+    if s1 <> s2 then funnel s2 b2
+
 let enum_scan_instr (ci : cinstr) e_env ienv fenv =
   let full op = enum_read_i e_env op Fault_space.read_full in
   let fullf op = enum_read_f e_env op Fault_space.read_full in
@@ -1046,64 +987,45 @@ let enum_scan_instr (ci : cinstr) e_env ienv fenv =
   | Fbin (_, a, b) ->
     fullf a;
     fullf b
-  | Icmp_op (p, a, b, w) -> (
+  | Icmp_op (p, a, b, w) ->
     (* Compare funnel: in a trial corrupting a tracked operand, the
        other operand holds its golden (= current) value, so the flipped
        value reaches downstream execution only through the boolean
        result — key every bit by it. *)
+    let lane = Lane.int w in
     let funnel s bld =
       let v = ienv.(s) in
       let sub op v' = match op with S t when t = s -> v' | _ -> iv ienv op in
       let keys =
-        Array.init w (fun bit ->
-            let v' = flip_int w v bit in
+        Array.init (Lane.width lane) (fun bit ->
+            let v' = Lane.flip lane v bit in
             Bool.to_int (icmp_eval p w (sub a v') (sub b v')))
       in
       Fault_space.read_funnel bld ~keys
         ~gold_key:(Bool.to_int (icmp_eval p w (iv ienv a) (iv ienv b)))
     in
-    let t op =
-      match op with
+    let t = function
       | S s -> ( match e_env.(s) with Some b -> Some (s, b) | None -> None)
       | C _ -> None
     in
-    match (t a, t b) with
-    | None, None -> ()
-    | Some (s, bld), None | None, Some (s, bld) -> funnel s bld
-    | Some (s1, b1), Some (s2, b2) ->
-      if s1 = s2 then funnel s1 b1
-      else begin
-        (* two distinct live instances: each one's single-fault trial
-           sees the other operand golden, so both funnels hold *)
-        funnel s1 b1;
-        funnel s2 b2
-      end)
-  | Fcmp_op (p, a, b) -> (
+    funnels funnel (t a) (t b)
+  | Fcmp_op (p, a, b) ->
     let funnel s bld =
       let v = fenv.(s) in
       let sub op v' = match op with FS t when t = s -> v' | _ -> fv fenv op in
       let keys =
-        Array.init 64 (fun bit ->
-            let v' = Bits.flip_float v bit in
+        Array.init (Lane.width Lane.f64) (fun bit ->
+            let v' = Lane.flip Lane.f64 v bit in
             Bool.to_int (fcmp_eval p (sub a v') (sub b v')))
       in
       Fault_space.read_funnel bld ~keys
         ~gold_key:(Bool.to_int (fcmp_eval p (fv fenv a) (fv fenv b)))
     in
-    let t op =
-      match op with
+    let t = function
       | FS s -> ( match e_env.(s) with Some b -> Some (s, b) | None -> None)
       | FC _ -> None
     in
-    match (t a, t b) with
-    | None, None -> ()
-    | Some (s, bld), None | None, Some (s, bld) -> funnel s bld
-    | Some (s1, b1), Some (s2, b2) ->
-      if s1 = s2 then funnel s1 b1
-      else begin
-        funnel s1 b1;
-        funnel s2 b2
-      end)
+    funnels funnel (t a) (t b)
   | Canon (a, w) | Unsign (a, w) ->
     enum_read_i e_env a (fun b -> Fault_space.read_masked b ~low:w)
   | Sext_i1 a | Move_int a | Si_to_fp a -> full a
@@ -2019,18 +1941,10 @@ exception Rejoined
 (* One block-end boundary (all body instructions done, terminator
    next; every block traversal passes exactly one such point, so a
    self-loop cannot dodge the probes).  Recording golden runs journal
-   every boundary; injected trials probe every [period_mask + 1]-th
-   visited boundary — a boundary-visit counter, not the step counter,
-   which differs between golden and trial and would misalign the
-   residues.  On a journal hit the trial splices the golden suffix —
-   guarded so splicing is exact: the spliced step total must not cross
-   [max_steps] (the dispatch loop's hang checks all fire at points
-   with steps <= total, so the reference run finishes), and neither
-   output may have hit [output_cap].  On a miss, a digest seen twice
-   within one trial proves a hang (deterministic machine, step counter
-   excluded), worth [max_steps - steps] skipped work; the detector is
-   armed only past the golden step total, which every hang must
-   cross. *)
+   every boundary; injected trials probe ({!Rejoin.probe}) every
+   [period_mask + 1]-th visited boundary — a boundary-visit counter,
+   not the step counter, which differs between golden and trial and
+   would misalign the residues. *)
 let rejoin_boundary (st : state) rj fr b =
   match rj.rj_rec with
   | Some bld ->
@@ -2042,40 +1956,16 @@ let rejoin_boundary (st : state) rj fr b =
       when st.injected
            && (rj.rj_cnt <- rj.rj_cnt + 1;
                rj.rj_cnt land Rejoin.ir_period_mask = 0)
-           && (match st.fu_watch with FU_off -> true | _ -> false) -> (
-      let key = check_key st rj fr b in
-      let v = Rejoin.lookup j key in
-      if v >= 0 then begin
-        let gsteps = Rejoin.steps_of v and goutlen = Rejoin.outlen_of v in
-        let gout = Rejoin.golden_out j in
-        let total = st.steps + (Rejoin.total_steps j - gsteps) in
-        let suffix = String.length gout - goutlen in
-        if
-          total <= st.max_steps
-          && String.length gout < output_cap
-          && Buffer.length st.out + suffix < output_cap
-        then begin
-          Buffer.add_substring st.out gout goutlen suffix;
-          st.steps <- total;
-          raise Rejoined
-        end
+           && (match st.fu_watch with FU_off -> true | _ -> false) ->
+      let steps =
+        Rejoin.probe j rj.rj_seen ~key:(check_key st rj fr b) ~steps:st.steps
+          ~max_steps:st.max_steps st.out
+      in
+      if steps >= 0 then begin
+        st.steps <- steps;
+        if steps > st.max_steps then raise Outcome.Hang_limit;
+        raise Rejoined
       end
-      else if st.steps > Rejoin.total_steps j then
-        (* Only trials already past the golden step total can be
-           hangs, so the repeat-detector stays unarmed — and costs
-           nothing — for trials that finish on time. *)
-        let seen =
-          match rj.rj_seen with
-          | Some s -> s
-          | None ->
-            let s = Rejoin.seen () in
-            rj.rj_seen <- Some s;
-            s
-        in
-        if Rejoin.seen_add seen key then begin
-          st.steps <- st.max_steps + 1;
-          raise Outcome.Hang_limit
-        end)
     | _ -> ())
 
 (* The dispatch loop over the explicit frame stack.  Instruction order,
@@ -2271,39 +2161,7 @@ let init_memory (c : compiled) =
   let mem = Memory.create () in
   if c.globals_len > 0 then
     Memory.map_region mem ~addr:Memory.globals_base ~len:c.globals_len;
-  List.iter
-    (fun (addr, ty, init) ->
-      let scalar_write addr (ty : Ir.Types.t) v =
-        match ty with
-        | Ir.Types.I1 | Ir.Types.I8 -> Memory.write_u8 mem addr (v land 0xff)
-        | Ir.Types.I16 -> Memory.write_u16 mem addr (v land 0xffff)
-        | Ir.Types.I32 -> Memory.write_u32 mem addr (v land 0xffffffff)
-        | Ir.Types.I64 | Ir.Types.Ptr _ -> Memory.write_word mem addr v
-        | Ir.Types.F64 | Ir.Types.Arr _ | Ir.Types.Struct _ | Ir.Types.Void ->
-          invalid_arg "Ir_exec: non-integer scalar initializer"
-      in
-      match (init : Ir.Prog.init) with
-      | Ir.Prog.Zero -> ()
-      | Ir.Prog.Str s -> Memory.blit_string mem ~addr s
-      | Ir.Prog.Ints vs -> (
-        match ty with
-        | Ir.Types.Arr (_, elt) ->
-          let esize = Ir.Layout.size_of c.source elt in
-          List.iteri (fun k v -> scalar_write (addr + (k * esize)) elt v) vs
-        | scalar -> (
-          match vs with
-          | [ v ] -> scalar_write addr scalar v
-          | _ -> invalid_arg "Ir_exec: scalar global with multiple initializers"))
-      | Ir.Prog.Floats vs -> (
-        match ty with
-        | Ir.Types.Arr (_, Ir.Types.F64) ->
-          List.iteri (fun k v -> Memory.write_f64 mem (addr + (k * 8)) v) vs
-        | Ir.Types.F64 -> (
-          match vs with
-          | [ v ] -> Memory.write_f64 mem addr v
-          | _ -> invalid_arg "Ir_exec: scalar global with multiple initializers")
-        | _ -> invalid_arg "Ir_exec: float initializer on non-float global"))
-    c.global_image;
+  Memory.write_globals mem (Ir.Layout.size_of c.source) c.global_image;
   mem
 
 (* Telemetry (lib/obs): a boolean load per completed run / ff trial
@@ -2334,6 +2192,7 @@ let exec_to_stats ?(fops = [||]) (c : compiled) st =
     injected = st.injected;
     activated = st.injected;
     fault_note = st.fault_note;
+    fault_bit = st.fault_bit;
     injected_step = st.injected_step;
     fault_site = st.fault_site;
     first_use = st.first_use;
@@ -2341,7 +2200,7 @@ let exec_to_stats ?(fops = [||]) (c : compiled) st =
 
 let new_rej ?journal ?recorder ?(acc = 0) () =
   { rj_acc = acc; rj_cnt = 0; rj_journal = journal; rj_rec = recorder;
-    rj_seen = None }
+    rj_seen = Rejoin.seen () }
 
 (* A fresh machine about to enter [main]. *)
 let fresh_state ?(inj_mask = 0) ?(track_use = false) ?trace ?rej
@@ -2360,6 +2219,7 @@ let fresh_state ?(inj_mask = 0) ?(track_use = false) ?trace ?rej
       injected = false;
       injected_step = -1;
       fault_note = "";
+      fault_bit = -1;
       trace;
       track_use;
       fu_watch = FU_off;
@@ -2470,13 +2330,7 @@ let ff_trial ff ~fault ~target ~max_steps ~rng =
     if exec_frames ~fops:ff.ff_fops ff.ff_c roll then
       invalid_arg "Ir_exec.ff_trial: target beyond the category's population"
   in
-  (* Explicit guard (not just [span]'s own) so the disabled path
-     allocates no argument list per trial. *)
-  if Obs.Trace.on () then
-    Obs.Trace.span "ff-advance"
-      ~args:[ ("target", string_of_int target) ]
-      advance
-  else advance ();
+  Phase.traced "ff-advance" ~target advance;
   let snap = Memory.freeze roll.mem in
   Obs.Metrics.observe m_checkpoint_depth (Memory.snapshot_depth snap);
   let out = Buffer.create (Buffer.length roll.out + 1024) in
@@ -2502,8 +2356,5 @@ let ff_trial ff ~fault ~target ~max_steps ~rng =
         | _ -> None);
     }
   in
-  if Obs.Trace.on () then
-    Obs.Trace.span "trial-run"
-      ~args:[ ("target", string_of_int target) ]
-      (fun () -> exec_to_stats ~fops:ff.ff_fops ff.ff_c st)
-  else exec_to_stats ~fops:ff.ff_fops ff.ff_c st
+  Phase.traced "trial-run" ~target (fun () ->
+      exec_to_stats ~fops:ff.ff_fops ff.ff_c st)

@@ -39,6 +39,10 @@ type site = {
   site_mask : int;  (** category bitmask assigned by [classify] *)
   site_func : string;
   site_instr : Ir.Instr.t;
+  site_width : int;
+      (** bits a fault into the site's destination is drawn from — the
+          lane injection and {!enumerate} use: the integer width, 64
+          for f64, 0 without a destination *)
 }
 
 val sites : compiled -> site array

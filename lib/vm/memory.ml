@@ -21,7 +21,6 @@ let page_size = Support.Segments.page_size
 
 (* Segment layout (byte addresses). *)
 let text_base = Support.Segments.text_base
-let text_limit = Support.Segments.text_limit
 let globals_base = Support.Segments.globals_base
 let heap_base = Support.Segments.heap_base
 let stack_top = Support.Segments.stack_top (* first address *above* the stack *)
@@ -99,8 +98,6 @@ let map_region t ~addr ~len =
     for index = page_of_addr addr to page_of_addr (addr + len - 1) do
       map_page t index
     done
-
-let is_mapped t addr = addr >= 0 && any_layer_has t (page_of_addr addr)
 
 (* Stack pages are demand-mapped, like an OS growing the stack on first
    touch; everything else must have been mapped explicitly. *)
@@ -424,3 +421,33 @@ let cell_fp t addr =
     let lo = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
     let hi = b 4 lor (b 5 lsl 8) lor (b 6 lsl 16) lor (b 7 lsl 24) in
     Rejoin.h3 addr lo hi
+
+let write_globals t size_of image =
+  let scalar_write addr (ty : Ir.Types.t) v =
+    match ty with
+    | Ir.Types.I1 | Ir.Types.I8 -> write_u8 t addr (v land 0xff)
+    | Ir.Types.I16 -> write_u16 t addr (v land 0xffff)
+    | Ir.Types.I32 -> write_u32 t addr (v land 0xffffffff)
+    | Ir.Types.I64 | Ir.Types.Ptr _ -> write_word t addr v
+    | Ir.Types.F64 | Ir.Types.Arr _ | Ir.Types.Struct _ | Ir.Types.Void ->
+      invalid_arg "Memory: non-integer scalar initializer"
+  in
+  let single = function
+    | [ v ] -> v
+    | _ -> invalid_arg "Memory: scalar global with several initializers"
+  in
+  List.iter
+    (fun (addr, ty, (init : Ir.Prog.init)) ->
+      match (init, ty) with
+      | Ir.Prog.Zero, _ -> ()
+      | Ir.Prog.Str s, _ -> blit_string t ~addr s
+      | Ir.Prog.Ints vs, Ir.Types.Arr (_, elt) ->
+        let esize = size_of elt in
+        List.iteri (fun k v -> scalar_write (addr + (k * esize)) elt v) vs
+      | Ir.Prog.Ints vs, scalar -> scalar_write addr scalar (single vs)
+      | Ir.Prog.Floats vs, Ir.Types.Arr (_, Ir.Types.F64) ->
+        List.iteri (fun k v -> write_f64 t (addr + (k * 8)) v) vs
+      | Ir.Prog.Floats vs, Ir.Types.F64 -> write_f64 t addr (single vs)
+      | Ir.Prog.Floats _, _ ->
+        invalid_arg "Memory: float initializer on non-float global")
+    image

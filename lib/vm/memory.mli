@@ -14,7 +14,6 @@ val page_size : int
 (** Segment layout (byte addresses); see {!Support.Segments}. *)
 
 val text_base : int
-val text_limit : int
 val globals_base : int
 val heap_base : int
 
@@ -60,8 +59,6 @@ val snapshot_depth : snapshot -> int
 val map_region : t -> addr:int -> len:int -> unit
 (** Map (zeroed) every page overlapping [addr, addr+len). *)
 
-val is_mapped : t -> int -> bool
-
 (** {1 Accessors}
 
     All raise {!Trap.Trap} on unmapped addresses.  Multi-byte accessors
@@ -103,6 +100,13 @@ val read_f64_fast : t -> int -> float
 val write_f64_fast : t -> int -> float -> unit
 
 val blit_string : t -> addr:int -> string -> unit
+
+val write_globals :
+  t -> (Ir.Types.t -> int) -> (int * Ir.Types.t * Ir.Prog.init) list -> unit
+(** Write a program's global initializers at their addresses, given
+    the program's type sizes; both VMs' memory images start from it.
+    @raise Invalid_argument on an initializer that does not fit its
+    global's type. *)
 
 val heap_alloc : t -> int -> int
 (** Bump allocation, 16-byte aligned.  The arena is mapped in 64 KiB

@@ -7,12 +7,17 @@ type t =
 
 exception Hang_limit
 
+let output_cap = 1 lsl 20
+
+let emit out s = if Buffer.length out < output_cap then Buffer.add_string out s
+
 type stats = {
   outcome : t;
   steps : int;  (* dynamic instructions executed *)
   injected : bool;  (* the planned fault was actually inserted *)
   activated : bool;  (* the corrupted state was subsequently read *)
   fault_note : string;  (* human-readable description of the fault site *)
+  fault_bit : int;  (* first drawn bit (flags: flag bit number), -1 if none *)
   injected_step : int;  (* dynamic step of the injection, -1 if none *)
   fault_site : int;  (* static id of the injected instruction, -1 if none *)
   first_use : First_use.t;  (* first consumer class, Unone unless tracked *)

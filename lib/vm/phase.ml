@@ -38,10 +38,10 @@ let skip_capture = function
   | Injecting inj -> inj.model = Fault_model.Skip
   | _ -> false
 
+let traced name ~target f =
+  if Obs.Trace.on () then
+    Obs.Trace.span name ~args:[ ("target", string_of_int target) ] f
+  else f ()
+
 let draw_bit inj w =
   if inj.forced_bit >= 0 then inj.forced_bit else Rng.int inj.rng w
-
-let draw_word inj w =
-  let x = Rng.next_int64 inj.rng in
-  if w >= Word.width then Int64.to_int (Int64.shift_right_logical x 1)
-  else Word.canon w (Int64.to_int (Int64.logand x (Bits.mask_width w)))

@@ -32,9 +32,9 @@ val skip_capture : 'e t -> bool
 (** Whether the run must capture each targeted destination before its
     write: an injection under [Skip]. *)
 
+val traced : string -> target:int -> (unit -> 'a) -> 'a
+(** A fast-forward step for trial [target], in a trace span [name] when
+    tracing is on; the disabled path allocates no argument list. *)
+
 val draw_bit : inj -> int -> int
 (** The faulted bit in [0, w): the pinned one, else one rng draw. *)
-
-val draw_word : inj -> int -> int
-(** A uniform [w]-bit value (canonical, as the VMs hold values) from
-    exactly one 64-bit draw. *)

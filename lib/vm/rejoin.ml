@@ -81,26 +81,20 @@ type t = {
   keys : int array;  (* open-addressed digest table, load <= 1/2 *)
   vals : int array;  (* packed (steps, outlen); -1 = empty slot *)
   mask : int;
-  entries : int;
   total_steps : int;  (* the golden run's final step count *)
   golden_out : string;  (* the golden run's full output *)
 }
 
-let entries t = t.entries
-let total_steps t = t.total_steps
-let golden_out t = t.golden_out
-
-let probe keys vals mask key =
+let slot keys vals mask key =
   let i = ref (key land mask) in
   while vals.(!i) >= 0 && keys.(!i) <> key do
     i := (!i + 1) land mask
   done;
   !i
 
-let lookup t key =
-  let i = probe t.keys t.vals t.mask key in
-  t.vals.(i)
+let lookup t key = t.vals.(slot t.keys t.vals t.mask key)
 
+(* The table under construction, allocated at the first insertion. *)
 type builder = {
   mutable b_keys : int array;
   mutable b_vals : int array;
@@ -108,23 +102,16 @@ type builder = {
   mutable b_n : int;
 }
 
-let builder () =
-  let cap = 1 lsl 12 in
-  {
-    b_keys = Array.make cap 0;
-    b_vals = Array.make cap (-1);
-    b_mask = cap - 1;
-    b_n = 0;
-  }
+let builder () = { b_keys = [||]; b_vals = [||]; b_mask = -1; b_n = 0 }
 
 let grow b =
-  let cap = 2 * (b.b_mask + 1) in
+  let cap = max 64 (2 * (b.b_mask + 1)) in
   let keys = Array.make cap 0 and vals = Array.make cap (-1) in
   let mask = cap - 1 in
   for i = 0 to b.b_mask do
     let v = b.b_vals.(i) in
     if v >= 0 then begin
-      let j = probe keys vals mask b.b_keys.(i) in
+      let j = slot keys vals mask b.b_keys.(i) in
       keys.(j) <- b.b_keys.(i);
       vals.(j) <- v
     end
@@ -133,68 +120,70 @@ let grow b =
   b.b_vals <- vals;
   b.b_mask <- mask
 
-let add b ~digest ~steps ~outlen =
-  if outlen < 1 lsl outlen_bits then begin
-    if 2 * (b.b_n + 1) > b.b_mask + 1 then grow b;
-    let i = probe b.b_keys b.b_vals b.b_mask digest in
-    if b.b_vals.(i) < 0 then begin
-      (* first boundary wins: duplicates are hash collisions (a true
-         state revisit would mean the golden run never terminates) *)
-      b.b_keys.(i) <- digest;
-      b.b_vals.(i) <- (steps lsl outlen_bits) lor outlen;
-      b.b_n <- b.b_n + 1
-    end
+(* Insert [key] unless present (the first insertion wins); whether it
+   was present. *)
+let insert b key v =
+  if 2 * (b.b_n + 1) > b.b_mask + 1 then grow b;
+  let i = slot b.b_keys b.b_vals b.b_mask key in
+  b.b_vals.(i) >= 0
+  ||
+  begin
+    b.b_keys.(i) <- key;
+    b.b_vals.(i) <- v;
+    b.b_n <- b.b_n + 1;
+    false
   end
 
+(* First boundary wins: duplicates are hash collisions (a true state
+   revisit would mean the golden run never terminates). *)
+let add b ~digest ~steps ~outlen =
+  if outlen < 1 lsl outlen_bits then
+    ignore (insert b digest ((steps lsl outlen_bits) lor outlen))
+
 let finish b ~total_steps ~golden_out =
+  if b.b_mask < 0 then grow b;
   {
     keys = b.b_keys;
     vals = b.b_vals;
     mask = b.b_mask;
-    entries = b.b_n;
     total_steps;
     golden_out;
   }
 
-(* A growable digest set for trial-side self-loop detection: a state
-   digest recurring within one trial means the (deterministic) machine
-   is in an infinite loop — only the excluded step counter advances —
-   so the trial is provably a hang.  Key 0 is the empty-slot sentinel;
-   a state digesting to exactly 0 is simply never detected (a missed
-   shortcut, not an error). *)
-type seen = { mutable s_keys : int array; mutable s_mask : int; mutable s_n : int }
+(* Trial-side self-loop detection: a state digest recurring within one
+   trial means the (deterministic) machine is in an infinite loop —
+   only the excluded step counter advances — so the trial is provably
+   a hang.  A digest set is a table whose values are unused; trials
+   that never reach the detector pay for an empty record. *)
+type seen = builder
 
-let seen () = { s_keys = Array.make 64 0; s_mask = 63; s_n = 0 }
+let seen = builder
 
-let seen_probe keys mask key =
-  let i = ref (key land mask) in
-  while keys.(!i) <> 0 && keys.(!i) <> key do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let seen_grow s =
-  let cap = 2 * (s.s_mask + 1) in
-  let keys = Array.make cap 0 in
-  let mask = cap - 1 in
-  for i = 0 to s.s_mask do
-    let k = s.s_keys.(i) in
-    if k <> 0 then keys.(seen_probe keys mask k) <- k
-  done;
-  s.s_keys <- keys;
-  s.s_mask <- mask
-
-let seen_add s key =
-  key <> 0
-  &&
-  begin
-    if 2 * (s.s_n + 1) > s.s_mask + 1 then seen_grow s;
-    let i = seen_probe s.s_keys s.s_mask key in
-    s.s_keys.(i) = key
-    ||
-    begin
-      s.s_keys.(i) <- key;
-      s.s_n <- s.s_n + 1;
-      false
+(* A trial-side probe, both VMs' match/splice guard.  On a journal hit
+   the golden suffix is spliced only when that is exact: the spliced
+   step total must not cross [max_steps] (each VM's hang check fires
+   at points with steps <= total, so the reference run finishes), and
+   neither output may have hit [Outcome.output_cap] — golden anywhere
+   (monotone length, so a short final output rules it out), trial
+   anywhere in the suffix.  On a miss, a digest seen twice within the
+   trial proves a hang, worth [max_steps - steps] skipped work; the
+   detector is armed only past the golden step total, which every hang
+   must cross, so trials that finish on time never touch the table. *)
+let probe j seen ~key ~steps ~max_steps out =
+  let v = lookup j key in
+  if v >= 0 then begin
+    let total = steps + (j.total_steps - steps_of v) in
+    let goutlen = outlen_of v in
+    let suffix = String.length j.golden_out - goutlen in
+    if
+      total <= max_steps
+      && String.length j.golden_out < Outcome.output_cap
+      && Buffer.length out + suffix < Outcome.output_cap
+    then begin
+      Buffer.add_substring out j.golden_out goutlen suffix;
+      total
     end
+    else -1
   end
+  else if steps > j.total_steps && insert seen key 0 then max_steps + 1
+  else -1

@@ -9,15 +9,13 @@
     splicing the recorded golden output suffix and step count —
     byte-identical to running the suffix, at a fraction of the cost.
 
-    Digest maintenance and the match/splice guards live in the
-    interpreters ({!Ir_exec}, {!X86_exec}); this module owns the hash
-    primitives and the table.  See rejoin.ml for the soundness
+    Digest maintenance and the probe schedule live in the interpreters
+    ({!Ir_exec}, {!X86_exec}); this module owns the hash primitives,
+    the table and the trial-side probe with its match/splice guards
+    and hang detector ({!probe}).  See rejoin.ml for the soundness
     argument (determinism makes true golden-state revisits impossible;
     a 2^-63 digest collision would be caught by the engine's
     byte-identical-CSV gate, not silent). *)
-
-val mix : int -> int
-(** SplitMix64-style finalizer on native ints (a bijection). *)
 
 val h2 : int -> int -> int
 val h3 : int -> int -> int -> int
@@ -36,31 +34,28 @@ val max_recorded_steps : int
     (the table costs ~32 bytes per boundary). *)
 
 type t
-(** A finished journal: digest -> packed (steps, outlen), plus the
-    golden output and total step count. *)
-
-val lookup : t -> int -> int
-(** Packed value for a digest, or [-1] if absent. *)
-
-val steps_of : int -> int
-val outlen_of : int -> int
-(** Unpack a non-negative {!lookup} result. *)
-
-val entries : t -> int
-val total_steps : t -> int
-val golden_out : t -> string
+(** A finished journal: digest -> (steps, output length) at that
+    boundary, plus the golden output and total step count. *)
 
 type seen
-(** A growable digest set for trial-side self-loop detection: a state
-    digest recurring within one trial proves the deterministic machine
-    is in an infinite loop (only the excluded step counter advances),
-    i.e. the trial hangs. *)
+(** A digest set for trial-side self-loop detection: a state digest
+    recurring within one trial proves the deterministic machine is in
+    an infinite loop (only the excluded step counter advances), i.e.
+    the trial hangs. *)
 
 val seen : unit -> seen
+(** An empty set; its table is allocated at the first add. *)
 
-val seen_add : seen -> int -> bool
-(** Add a digest; [true] if it was already present (a repeat).  Digest
-    0 doubles as the empty-slot sentinel and is never tracked. *)
+val probe :
+  t -> seen -> key:int -> steps:int -> max_steps:int -> Buffer.t -> int
+(** One trial-side probe at a boundary with digest [key], after
+    [steps] steps, output so far in the buffer.  Returns the step count
+    the trial finishes at: on a journal hit whose splice is exact (no
+    hang budget crossed, no output truncated on either side) the golden
+    output suffix has been appended to the buffer and the result is
+    the spliced total; on a miss past the golden step total, a digest
+    already in [seen] proves a hang and the result is [max_steps + 1].
+    Otherwise [-1]: run on. *)
 
 type builder
 

@@ -44,8 +44,8 @@ type mode =
 type enum = {
   e_gp : Fault_space.builder option array;
   e_xmm : Fault_space.builder option array;
-  mutable e_flags : (Fault_space.builder * int list) option;
-      (* live flags instance + the candidate bit list fixed at injection *)
+  mutable e_flags : (Fault_space.builder * int Lane.t) option;
+      (* live flags instance + its lane, fixed at the compare *)
   mutable enum_rev : Fault_space.builder list;
 }
 
@@ -66,7 +66,7 @@ type rej = {
   rj_rec : Rejoin.builder option;  (* golden side: record boundaries *)
   mutable rj_waddr : int;  (* pending memory-write address; -1 = none *)
   mutable rj_wbytes : int;
-  mutable rj_seen : Rejoin.seen option;  (* trial self-loop detector *)
+  rj_seen : Rejoin.seen;  (* trial self-loop detector *)
 }
 
 type machine = {
@@ -87,6 +87,7 @@ type machine = {
   mutable activated : bool;
   mutable watch : watch;
   mutable fault_note : string;
+  mutable fault_bit : int;  (* first drawn bit, -1 if none *)
   track_use : bool;  (* classify the corrupted value's first consumer *)
   mutable first_use : First_use.t;
   mutable fault_site : int;  (* instruction index of the injection *)
@@ -96,9 +97,7 @@ type machine = {
   mutable rej : rej option;  (* rejoin digest context, if enabled *)
 }
 
-let output_cap = 1 lsl 20
-
-let emit m s = if Buffer.length m.out < output_cap then Buffer.add_string m.out s
+let emit m s = Outcome.emit m.out s
 
 (* The destination register PINFI would corrupt: the primary written
    register, or the flags for compare-class instructions. *)
@@ -183,20 +182,36 @@ let fptosi_truncate f =
 
 (* --- fault insertion --- *)
 
-(* The flag bits a Dflags fault may hit, fixed by the instruction the
-   machine is about to execute (rip already advanced past the compare). *)
-let flag_candidates m (loaded : loaded) =
-  if m.policy.flag_dependent_bits then
-    match
-      if m.rip >= 0 && m.rip < Array.length loaded.program.insns then
-        Some loaded.program.insns.(m.rip)
-      else None
-    with
-    | Some (Insn.Jcc (c, _)) -> Flags.dependent_bits c
-    | _ -> Flags.all_bits
-  else Flags.all_bits
+(* The lanes (see {!Lane}) a destination's faults are drawn from: the
+   word for a GP register, the double or the whole register for XMM
+   (per policy), and for flags one lane per candidate list — every
+   modelled flag bit, or the bits a following conditional jump reads. *)
+let gp_lane = Lane.int Word.width
 
-let set_word v bit b = if b then v lor (1 lsl bit) else v land lnot (1 lsl bit)
+let xmm_lane policy = if policy.xmm_low64_only then Lane.f64 else Lane.xmm128
+
+let all_flags_lane = Lane.flags Flags.all_bits
+
+let jcc_flags_lanes =
+  List.map
+    (fun c -> (c, Lane.flags (Flags.dependent_bits c)))
+    Flags.[ E; NE; L; LE; G; GE; B; BE; A; AE ]
+
+(* A compare never jumps, so the instruction after it is the one that
+   reads its flags. *)
+let flags_lane policy (program : Backend.Program.t) idx =
+  if policy.flag_dependent_bits && idx + 1 < Array.length program.insns then
+    match program.insns.(idx + 1) with
+    | Insn.Jcc (c, _) -> List.assoc c jcc_flags_lanes
+    | _ -> all_flags_lane
+  else all_flags_lane
+
+let site_width policy (program : Backend.Program.t) idx =
+  match primary_dest program.insns.(idx) with
+  | Dgp _ -> Lane.width gp_lane
+  | Dxmm _ -> Lane.width (xmm_lane policy)
+  | Dflags -> Lane.width (flags_lane policy program idx)
+  | Dnone -> 0
 
 (* Pre-capture the targeted instruction's destination so a [Skip]
    injection can restore it after the write executed. *)
@@ -207,128 +222,37 @@ let capture_dest m (inj : Phase.inj) insn =
   | Dflags -> inj.cap_i <- m.flags
   | Dnone -> ()
 
-let inject m (inj : Phase.inj) (loaded : loaded) insn =
+(* Corrupt the destination of instruction [idx], just executed. *)
+let inject m (inj : Phase.inj) (loaded : loaded) idx insn =
   m.injected <- true;
   m.injected_step <- m.steps;
+  let hit (f : _ Lane.fault) =
+    m.fault_note <- f.note;
+    m.fault_bit <- f.bit;
+    f.value
+  in
   match primary_dest insn with
   | Dgp r ->
-    let draw () = Phase.draw_bit inj Word.width in
-    let name = Reg.gp_names.(r) in
-    m.watch <- Watch_gp r;
-    m.fault_note <-
-      (match inj.model with
-      | Fault_model.Bitflip ->
-        let bit = draw () in
-        m.gp.(r) <- Word.flip_bit m.gp.(r) bit;
-        Printf.sprintf "bit %d of %s" bit name
-      | Fault_model.Multi_bit n ->
-        let bit = draw () in
-        m.gp.(r) <- Word.flip_bit m.gp.(r) bit;
-        for _ = 2 to n do
-          m.gp.(r) <- Word.flip_bit m.gp.(r) (Rng.int inj.rng Word.width)
-        done;
-        Printf.sprintf "bit %d of %s (+%d more)" bit name (n - 1)
-      | Fault_model.Stuck_at_0 | Fault_model.Stuck_at_1 ->
-        let b = inj.model = Fault_model.Stuck_at_1 in
-        let bit = draw () in
-        m.gp.(r) <- set_word m.gp.(r) bit b;
-        Printf.sprintf "bit %d of %s stuck at %d" bit name (Bool.to_int b)
-      | Fault_model.Skip ->
-        m.gp.(r) <- inj.cap_i;
-        Printf.sprintf "write of %s skipped" name
-      | Fault_model.Load_value ->
-        m.gp.(r) <- Phase.draw_word inj Word.width;
-        Printf.sprintf "value of %s randomized" name)
-  | Dxmm r -> (
-    let range = if m.policy.xmm_low64_only then 64 else 128 in
-    let draw () = Phase.draw_bit inj range in
-    (* Upper half of the XMM register: unused by scalar double code, so
-       a fault confined there can never be activated. *)
-    let xnote bit tail =
-      if bit < 64 then Printf.sprintf "bit %d of xmm%d%s" bit r tail
-      else Printf.sprintf "bit %d of xmm%d (upper half)%s" bit r tail
+    m.gp.(r) <-
+      hit
+        (Lane.corrupt gp_lane inj ~what:Reg.gp_names.(r) ~prior:inj.cap_i
+           m.gp.(r));
+    m.watch <- Watch_gp r
+  | Dxmm r ->
+    let f =
+      Lane.corrupt (xmm_lane m.policy) inj ~what:(Printf.sprintf "xmm%d" r)
+        ~prior:inj.cap_f m.xmm.(r)
     in
-    match inj.model with
-    | Fault_model.Bitflip ->
-      let bit = draw () in
-      if bit < 64 then begin
-        m.xmm.(r) <- Bits.flip_float m.xmm.(r) bit;
-        m.watch <- Watch_xmm r;
-        m.fault_note <- Printf.sprintf "bit %d of xmm%d" bit r
-      end
-      else begin
-        m.watch <- No_watch;
-        m.fault_note <- Printf.sprintf "bit %d of xmm%d (upper half)" bit r
-      end
-    | Fault_model.Multi_bit n ->
-      let touched = ref false in
-      let apply b =
-        if b < 64 then begin
-          m.xmm.(r) <- Bits.flip_float m.xmm.(r) b;
-          touched := true
-        end
-      in
-      let bit = draw () in
-      apply bit;
-      for _ = 2 to n do
-        apply (Rng.int inj.rng range)
-      done;
-      m.watch <- (if !touched then Watch_xmm r else No_watch);
-      m.fault_note <- xnote bit (Printf.sprintf " (+%d more)" (n - 1))
-    | Fault_model.Stuck_at_0 | Fault_model.Stuck_at_1 ->
-      let b = inj.model = Fault_model.Stuck_at_1 in
-      let bit = draw () in
-      if bit < 64 then begin
-        m.xmm.(r) <-
-          Int64.float_of_bits
-            (Bits.set_int64 (Int64.bits_of_float m.xmm.(r)) bit b);
-        m.watch <- Watch_xmm r
-      end
-      else m.watch <- No_watch;
-      m.fault_note <-
-        xnote bit (Printf.sprintf " stuck at %d" (if b then 1 else 0))
-    | Fault_model.Skip ->
-      m.xmm.(r) <- inj.cap_f;
-      m.watch <- Watch_xmm r;
-      m.fault_note <- Printf.sprintf "write of xmm%d skipped" r
-    | Fault_model.Load_value ->
-      m.xmm.(r) <- Int64.float_of_bits (Rng.next_int64 inj.rng);
-      m.watch <- Watch_xmm r;
-      m.fault_note <- Printf.sprintf "value of xmm%d randomized" r)
+    m.xmm.(r) <- hit f;
+    (* a fault confined to the inert upper half is never activated *)
+    m.watch <- (if f.touched then Watch_xmm r else No_watch)
   | Dflags ->
-    let candidates = flag_candidates m loaded in
-    let ncand = List.length candidates in
-    (* A pinned bit indexes the candidate list, mirroring the draw. *)
-    let pick () = Phase.draw_bit inj ncand in
-    m.watch <- Watch_flags;
-    m.fault_note <-
-      (match inj.model with
-      | Fault_model.Bitflip ->
-        let bit = List.nth candidates (pick ()) in
-        m.flags <- m.flags lxor (1 lsl bit);
-        Printf.sprintf "flag bit %d" bit
-      | Fault_model.Multi_bit n ->
-        let bit = List.nth candidates (pick ()) in
-        m.flags <- m.flags lxor (1 lsl bit);
-        for _ = 2 to n do
-          let b = List.nth candidates (Rng.int inj.rng ncand) in
-          m.flags <- m.flags lxor (1 lsl b)
-        done;
-        Printf.sprintf "flag bit %d (+%d more)" bit (n - 1)
-      | Fault_model.Stuck_at_0 | Fault_model.Stuck_at_1 ->
-        let b = inj.model = Fault_model.Stuck_at_1 in
-        let bit = List.nth candidates (pick ()) in
-        m.flags <- set_word m.flags bit b;
-        Printf.sprintf "flag bit %d stuck at %d" bit (Bool.to_int b)
-      | Fault_model.Skip ->
-        m.flags <- inj.cap_i;
-        "flags write skipped"
-      | Fault_model.Load_value ->
-        let v = Rng.int inj.rng (1 lsl ncand) in
-        List.iteri
-          (fun i bit -> m.flags <- set_word m.flags bit (v lsr i land 1 = 1))
-          candidates;
-        Printf.sprintf "flag value %d of %d candidates" v ncand)
+    m.flags <-
+      hit
+        (Lane.corrupt
+           (flags_lane m.policy loaded.program idx)
+           inj ~what:"flags" ~prior:inj.cap_i m.flags);
+    m.watch <- Watch_flags
   | Dnone -> m.watch <- No_watch
 
 (* --- first-use classification (the paper's Section V cause classes) ---
@@ -453,30 +377,31 @@ let enum_scan m en (insn : Insn.t) =
     rd_gp r (fun b ->
         let v = m.gp.(r) in
         let keys =
-          Array.init Word.width (fun bit -> keyf (Word.flip_bit v bit))
+          Array.init (Lane.width gp_lane) (fun bit ->
+              keyf (Lane.flip gp_lane v bit))
         in
         Fault_space.read_funnel b ~keys ~gold_key:(keyf v))
   in
   let xmm_funnel r keyf =
     rd_xmm r (fun b ->
         let v = m.xmm.(r) in
-        (* 64 keys: enough for the paper policy's bit space; a 128-bit
-           space degrades to a full read inside [read_funnel] *)
-        let keys = Array.init 64 (fun bit -> keyf (Bits.flip_float v bit)) in
+        (* keys for the live bits only: a lane with an inert upper half
+           degrades to a full read inside [read_funnel] *)
+        let lane = xmm_lane m.policy in
+        let keys =
+          Array.init (Lane.live lane) (fun bit -> keyf (Lane.flip lane v bit))
+        in
         Fault_space.read_funnel b ~keys ~gold_key:(keyf v))
   in
   (* flags reads: a lone Jcc/Setcc funnels through the condition *)
   (if Insn.reads_flags insn then
      match en.e_flags with
-     | Some (b, candidates) -> (
+     | Some (b, lane) -> (
        match insn with
        | Insn.Jcc (c, _) | Insn.Setcc (c, _) ->
          let keys =
-           Array.of_list
-             (List.map
-                (fun bit ->
-                  Bool.to_int (Flags.holds (m.flags lxor (1 lsl bit)) c))
-                candidates)
+           Array.init (Lane.width lane) (fun i ->
+               Bool.to_int (Flags.holds (Lane.flip lane m.flags i) c))
          in
          Fault_space.read_funnel b ~keys
            ~gold_key:(Bool.to_int (Flags.holds m.flags c))
@@ -538,31 +463,20 @@ let enum_scan m en (insn : Insn.t) =
   List.iter (fun r -> en.e_xmm.(r) <- None) xd;
   if Insn.writes_flags insn then en.e_flags <- None
 
-(* Post-exec instance start, mirroring [inject]'s view of the machine
-   (rip already advanced / redirected) so candidate flag bits match. *)
-let enum_start m en (loaded : loaded) insn =
+(* Post-exec instance start, drawing from the lane [inject] would
+   corrupt. *)
+let enum_start m en (loaded : loaded) idx insn =
+  let start lane v =
+    let b = Lane.instance lane v in
+    en.enum_rev <- b :: en.enum_rev;
+    b
+  in
   match primary_dest insn with
-  | Dgp r ->
-    let gold = Int64.logand (Int64.of_int m.gp.(r)) (Bits.mask_width Word.width) in
-    let b = Fault_space.create ~gold ~width:Word.width in
-    en.enum_rev <- b :: en.enum_rev;
-    en.e_gp.(r) <- Some b
-  | Dxmm r ->
-    let width = if m.policy.xmm_low64_only then 64 else 128 in
-    let b = Fault_space.create ~gold:(Int64.bits_of_float m.xmm.(r)) ~width in
-    en.enum_rev <- b :: en.enum_rev;
-    en.e_xmm.(r) <- Some b
+  | Dgp r -> en.e_gp.(r) <- Some (start gp_lane m.gp.(r))
+  | Dxmm r -> en.e_xmm.(r) <- Some (start (xmm_lane m.policy) m.xmm.(r))
   | Dflags ->
-    let candidates = flag_candidates m loaded in
-    let gold = ref 0L in
-    List.iteri
-      (fun i bit ->
-        if m.flags lsr bit land 1 = 1 then
-          gold := Int64.logor !gold (Int64.shift_left 1L i))
-      candidates;
-    let b = Fault_space.create ~gold:!gold ~width:(List.length candidates) in
-    en.enum_rev <- b :: en.enum_rev;
-    en.e_flags <- Some (b, candidates)
+    let lane = flags_lane m.policy loaded.program idx in
+    en.e_flags <- Some (start lane m.flags, lane)
   | Dnone ->
     (* occupies a countdown index; zero reads = never activated *)
     en.enum_rev <- Fault_space.create ~gold:0L ~width:1 :: en.enum_rev
@@ -772,38 +686,7 @@ let init_memory (p : Backend.Program.t) =
   let mem = Memory.create () in
   let span = p.globals_len + p.consts_len + 16 in
   if span > 0 then Memory.map_region mem ~addr:Memory.globals_base ~len:span;
-  List.iter
-    (fun (addr, ty, init) ->
-      let scalar_write addr (ty : Ir.Types.t) v =
-        match ty with
-        | Ir.Types.I1 | Ir.Types.I8 -> Memory.write_u8 mem addr (v land 0xff)
-        | Ir.Types.I16 -> Memory.write_u16 mem addr (v land 0xffff)
-        | Ir.Types.I32 -> Memory.write_u32 mem addr (v land 0xffffffff)
-        | Ir.Types.I64 | Ir.Types.Ptr _ -> Memory.write_word mem addr v
-        | _ -> invalid_arg "X86_exec: bad scalar initializer"
-      in
-      match (init : Ir.Prog.init) with
-      | Ir.Prog.Zero -> ()
-      | Ir.Prog.Str s -> Memory.blit_string mem ~addr s
-      | Ir.Prog.Ints vs -> (
-        match ty with
-        | Ir.Types.Arr (_, elt) ->
-          let esize = Ir.Layout.size_of p.source elt in
-          List.iteri (fun k v -> scalar_write (addr + (k * esize)) elt v) vs
-        | scalar -> (
-          match vs with
-          | [ v ] -> scalar_write addr scalar v
-          | _ -> invalid_arg "X86_exec: scalar global with several initializers"))
-      | Ir.Prog.Floats vs -> (
-        match ty with
-        | Ir.Types.Arr (_, Ir.Types.F64) ->
-          List.iteri (fun k v -> Memory.write_f64 mem (addr + (k * 8)) v) vs
-        | Ir.Types.F64 -> (
-          match vs with
-          | [ v ] -> Memory.write_f64 mem addr v
-          | _ -> invalid_arg "X86_exec: scalar global with several initializers")
-        | _ -> invalid_arg "X86_exec: float initializer on non-float global"))
-    p.global_image;
+  Memory.write_globals mem (Ir.Layout.size_of p.source) p.global_image;
   List.iter (fun (addr, f) -> Memory.write_f64 mem addr f) p.const_image;
   mem
 
@@ -1272,48 +1155,16 @@ let rejoin_post m rj pre =
     | Some j
       when m.injected
            && m.steps land Rejoin.x86_period_mask = 0
-           && m.watch = No_watch -> (
-      let key = check_key m rj in
-      let v = Rejoin.lookup j key in
-      if v >= 0 then begin
-        let total = m.steps + (Rejoin.total_steps j - Rejoin.steps_of v) in
-        let gout = Rejoin.golden_out j in
-        let goutlen = Rejoin.outlen_of v in
-        let suffix = String.length gout - goutlen in
-        (* Exactness guards: the spliced run must not have hung
-           ([steps] is bumped before the [> max_steps] check, so
-           [total <= max_steps] is the precise no-hang condition), and
-           neither side may have truncated output at [output_cap] —
-           golden anywhere (monotone length, so a short final output
-           rules it out), trial anywhere in the suffix. *)
-        if total <= m.max_steps
-           && String.length gout < output_cap
-           && Buffer.length m.out + suffix < output_cap
-        then begin
-          Buffer.add_substring m.out gout goutlen suffix;
-          m.steps <- total;
-          raise Halt
-        end
+           && m.watch = No_watch ->
+      let steps =
+        Rejoin.probe j rj.rj_seen ~key:(check_key m rj) ~steps:m.steps
+          ~max_steps:m.max_steps m.out
+      in
+      if steps >= 0 then begin
+        m.steps <- steps;
+        if steps > m.max_steps then raise Outcome.Hang_limit;
+        raise Halt
       end
-      else if m.steps > Rejoin.total_steps j then begin
-        (* Off the golden trajectory: a repeated own digest proves an
-           infinite loop, so finish as the hang the reference run would
-           reach at its step budget.  Armed only past the golden step
-           total — which every hang must cross — so trials that finish
-           on time never touch the table. *)
-        let seen =
-          match rj.rj_seen with
-          | Some s -> s
-          | None ->
-            let s = Rejoin.seen () in
-            rj.rj_seen <- Some s;
-            s
-        in
-        if Rejoin.seen_add seen key then begin
-          m.steps <- m.max_steps + 1;
-          raise Outcome.Hang_limit
-        end
-      end)
     | _ -> ())
 
 (* The fetch-execute loop.  Returns normally only when a Forward-phase
@@ -1363,7 +1214,7 @@ let run_machine ?fast (loaded : loaded) m =
       (match m.phase with
       | Phase.Plain -> ()
       | Phase.Enumerate e ->
-        if masks.(idx) land m.inj_mask <> 0 then enum_start m e loaded insn
+        if masks.(idx) land m.inj_mask <> 0 then enum_start m e loaded idx insn
       | Phase.Forward f ->
         if masks.(idx) land m.inj_mask <> 0 then f.matched <- f.matched + 1
       | Phase.Counting counts ->
@@ -1375,7 +1226,7 @@ let run_machine ?fast (loaded : loaded) m =
         if mask land m.inj_mask <> 0 then begin
           if inj.countdown = 0 then begin
             m.fault_site <- idx;
-            inject m inj loaded insn
+            inject m inj loaded idx insn
           end;
           inj.countdown <- inj.countdown - 1
         end);
@@ -1408,6 +1259,7 @@ let finish_machine ?fast (loaded : loaded) m =
     injected = m.injected;
     activated = m.activated;
     fault_note = m.fault_note;
+    fault_bit = m.fault_bit;
     injected_step = m.injected_step;
     fault_site = m.fault_site;
     first_use = m.first_use;
@@ -1421,7 +1273,7 @@ let new_rej ?journal ?recorder ?(acc = 0) store =
     rj_rec = recorder;
     rj_waddr = -1;
     rj_wbytes = 0;
-    rj_seen = None;
+    rj_seen = Rejoin.seen ();
   }
 
 (* A fresh machine at the program entry. *)
@@ -1447,6 +1299,7 @@ let make_machine ?(inj_mask = 0) ?(policy = paper_policy) ?(track_use = false)
       activated = false;
       watch = No_watch;
       fault_note = "";
+      fault_bit = -1;
       track_use;
       first_use = First_use.Unone;
       fault_site = -1;
@@ -1567,11 +1420,7 @@ let ff_trial ff ~fault ~target ~max_steps ~rng =
     | exception Halt ->
       invalid_arg "X86_exec.ff_trial: target beyond the category's population"
   in
-  (* Guarded so the disabled path allocates no argument list. *)
-  if Obs.Trace.on () then
-    Obs.Trace.span "ff-advance" ~args:[ ("target", string_of_int target) ]
-      advance
-  else advance ();
+  Phase.traced "ff-advance" ~target advance;
   let snap = Memory.freeze roll.mem in
   Obs.Metrics.observe m_checkpoint_depth (Memory.snapshot_depth snap);
   let out = Buffer.create (Buffer.length roll.out + 1024) in
@@ -1600,8 +1449,5 @@ let ff_trial ff ~fault ~target ~max_steps ~rng =
         | _ -> None);
     }
   in
-  if Obs.Trace.on () then
-    Obs.Trace.span "trial-run"
-      ~args:[ ("target", string_of_int target) ]
-      (fun () -> finish_machine ?fast:ff.ff_fast ff.ff_loaded m)
-  else finish_machine ?fast:ff.ff_fast ff.ff_loaded m
+  Phase.traced "trial-run" ~target (fun () ->
+      finish_machine ?fast:ff.ff_fast ff.ff_loaded m)

@@ -48,6 +48,12 @@ type dest = Dgp of X86.Reg.t | Dxmm of X86.Reg.t | Dflags | Dnone
 
 val primary_dest : X86.Insn.t -> dest
 
+val site_width : policy -> Backend.Program.t -> int -> int
+(** The bits a fault into instruction [index]'s destination is drawn
+    from under [policy] — the same lane injection and {!enumerate}
+    use: [Word.width] for a GP register, 64 or 128 for XMM, the
+    candidate flag bits for a compare; 0 without a destination. *)
+
 type fast
 (** A [loaded] program compiled once into per-instruction closures
     (operand shapes, addressing modes, branch targets and flag algebra
@@ -131,10 +137,9 @@ val ff_trial :
 
     The exhaustive-campaign pre-pass: one instrumented golden run that
     emits a {!Fault_space.instance} per dynamic instance matching
-    [inj_mask], in target order.  Instance widths reflect the sampler's
-    bit spaces under [policy]: [Word.width] for GP destinations, 64 or
-    128 for XMM, the candidate-list length for flags (where the
-    enumerated "bit" indexes that list, as [forced_bit] does). *)
+    [inj_mask], in target order.  Instance widths are the
+    {!site_width}s under [policy]; for flags the enumerated "bit"
+    indexes the candidate list, as [forced_bit] does. *)
 
 val enumerate :
   ?policy:policy ->

@@ -160,6 +160,7 @@ let test_pinfi_classify () =
 
 let stats outcome ~injected ~activated =
   { Vm.Outcome.outcome; steps = 1; injected; activated; fault_note = "";
+    fault_bit = -1;
     injected_step = (if injected then 0 else -1);
     fault_site = (if injected then 0 else -1);
     first_use = Vm.First_use.Unone }
@@ -500,6 +501,95 @@ let test_ff_trial_any_order () =
         (Some stats = replayed.(i)))
     reference
 
+(* --- fault-model semantics, pinned ---
+
+   Every fault model against every destination lane both VMs corrupt:
+   IR integer and f64 results, x86 general-purpose, XMM (64 and 128
+   bits) and flags (jump-dependent and all) destinations.  Each lane's
+   full stats stream (outcome, steps, fault note, site, injected step,
+   first use) over [Fault_model.all] is digested and compared with a
+   pinned value, so any change to a model's semantics, its rng draw
+   order or its note text shows up here.  The [reach] substring checks that the
+   cell really hits its lane. *)
+
+let raytrace = Workloads.find_exn "raytrace"
+let prepared_raytrace = lazy (Core.Campaign.prepare small_config raytrace)
+
+(* Both PINFI heuristics off: 128-bit XMM lanes (an inert upper half)
+   and flag faults over every modelled flag bit. *)
+let prepared_raytrace_wide =
+  let policy =
+    { Vm.X86_exec.flag_dependent_bits = false; xmm_low64_only = false }
+  in
+  lazy
+    (Core.Campaign.prepare
+       { small_config with pinfi = { Core.Pinfi.policy } }
+       raytrace)
+
+(* lane, prepared workload, tool, category, reach, pinned digest *)
+let lane_cells =
+  let open Core.Campaign in
+  let open Core.Category in
+  [
+    ("ir-int", prepared, Llfi_tool, Arithmetic, "-bit result",
+     "2ed7c51e9eeeaf1f52730042fbe44552");
+    ("ir-f64", prepared_raytrace, Llfi_tool, Arithmetic, "f64 result",
+     "055b1d6b07d5ef7604d7d351dd1c22d0");
+    ("x86-gp", prepared, Pinfi_tool, Arithmetic, "of r",
+     "b0fb5cc67f08db72eaa58b96251168b6");
+    ("x86-xmm", prepared_raytrace, Pinfi_tool, Arithmetic, "xmm",
+     "9a32098917064a0366f99c6421bf9403");
+    ("x86-flags", prepared, Pinfi_tool, Cmp, "flag",
+     "6dbd1d5e7d1105e93911156e1e48b9cd");
+    ("x86-xmm-128", prepared_raytrace_wide, Pinfi_tool, Arithmetic,
+     "(upper half)", "8abda3797da1f44ad1da58b7baa9f87f");
+    ("x86-flags-all", prepared_raytrace_wide, Pinfi_tool, Cmp, "flag bit 11",
+     "eb071feb8b75dad5a79470322e00d317");
+  ]
+
+let stats_line (st : Vm.Outcome.stats) =
+  let outcome =
+    match st.Vm.Outcome.outcome with
+    | Vm.Outcome.Finished out -> "F" ^ Digest.to_hex (Digest.string out)
+    | Vm.Outcome.Crashed t -> "C" ^ Vm.Trap.to_string t
+    | Vm.Outcome.Hung -> "H"
+  in
+  Printf.sprintf "%s|%d|%s|%d|%d|%s\n" outcome st.Vm.Outcome.steps
+    st.Vm.Outcome.fault_note st.Vm.Outcome.fault_site
+    st.Vm.Outcome.injected_step
+    (Vm.First_use.name st.Vm.Outcome.first_use)
+
+let contains text sub =
+  match Str.search_forward (Str.regexp_string sub) text 0 with
+  | _ -> true
+  | exception Not_found -> false
+
+let test_fault_models_pinned () =
+  let digests =
+    List.map
+      (fun (lane, p, tool, category, reach, _) ->
+        let p = Lazy.force p in
+        let buf = Buffer.create 65536 in
+        List.iter
+          (fun model ->
+            let config = { small_config with trials = 20; model } in
+            Buffer.add_string buf (Core.Fault_model.name model ^ "\n");
+            ignore
+              (Core.Campaign.run_cell ~track_use:true
+                 ~on_stats:(fun _ _ st -> Buffer.add_string buf (stats_line st))
+                 config p tool category))
+          Core.Fault_model.all;
+        let text = Buffer.contents buf in
+        Alcotest.(check bool) (lane ^ " reaches its lane") true
+          (contains text reach);
+        (lane, Digest.to_hex (Digest.string text)))
+      lane_cells
+  in
+  Alcotest.(check (list (pair string string)))
+    "stats digest per lane"
+    (List.map (fun (lane, _, _, _, _, pinned) -> (lane, pinned)) lane_cells)
+    digests
+
 (* --- EDC severity --- *)
 
 let test_edc_tokenize () =
@@ -644,6 +734,8 @@ let () =
           ("runner reuse + rejection", `Quick, test_snapshot_runner_reuse);
           ("any target order", `Quick, test_ff_trial_any_order);
         ] );
+      ( "fault model",
+        [ ("every model x lane pinned", `Quick, test_fault_models_pinned) ] );
       ( "edc",
         [
           ("tokenize", `Quick, test_edc_tokenize);

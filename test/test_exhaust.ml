@@ -35,31 +35,39 @@ let tally_ints (t : Core.Verdict.tally) =
 
 (* --- exactness: pruned == brute force --- *)
 
+(* Every enumerable model: [Exhaust.fate] has stuck-at (golden-bit)
+   and skip (unread-destination) rules besides the bitflip ones. *)
 let test_pruned_equals_brute_force () =
   let p = Core.Campaign.prepare campaign_config (tiny 7 5) in
   List.iter
-    (fun tool ->
-      let name = Core.Campaign.tool_name tool in
-      let pruned =
-        Exhaust.run_cell Exhaust.default_config p tool Core.Category.All
-      in
-      let brute =
-        Exhaust.run_cell
-          { Exhaust.default_config with prune = false }
-          p tool Core.Category.All
-      in
-      Alcotest.(check int)
-        (name ^ ": same enumerated space")
-        brute.Core.Campaign.e_enumerated pruned.Core.Campaign.e_enumerated;
-      Alcotest.(check (list int))
-        (name ^ ": pruned tally equals brute force")
-        (tally_ints brute.Core.Campaign.e_tally)
-        (tally_ints pruned.Core.Campaign.e_tally);
-      Alcotest.(check bool)
-        (name ^ ": pruning executed fewer trials")
-        true
-        (pruned.Core.Campaign.e_executed <= brute.Core.Campaign.e_executed))
-    tools
+    (fun model ->
+      List.iter
+        (fun tool ->
+          let name =
+            Core.Campaign.tool_name tool ^ "/" ^ Core.Fault_model.name model
+          in
+          let pruned =
+            Exhaust.run_cell ~model Exhaust.default_config p tool
+              Core.Category.All
+          in
+          let brute =
+            Exhaust.run_cell ~model
+              { Exhaust.default_config with prune = false }
+              p tool Core.Category.All
+          in
+          Alcotest.(check int)
+            (name ^ ": same enumerated space")
+            brute.Core.Campaign.e_enumerated pruned.Core.Campaign.e_enumerated;
+          Alcotest.(check (list int))
+            (name ^ ": pruned tally equals brute force")
+            (tally_ints brute.Core.Campaign.e_tally)
+            (tally_ints pruned.Core.Campaign.e_tally);
+          Alcotest.(check bool)
+            (name ^ ": pruning executed fewer trials")
+            true
+            (pruned.Core.Campaign.e_executed <= brute.Core.Campaign.e_executed))
+        tools)
+    Core.Fault_model.[ Bitflip; Stuck_at_0; Stuck_at_1; Skip ]
 
 (* --- compiled execution tier: exact tallies are engine-independent ---
 
@@ -175,6 +183,7 @@ let test_sample_bound () =
    register.) *)
 
 let check_fates seed =
+  let model = Core.Fault_model.Bitflip in
   let p = Core.Campaign.prepare campaign_config (tiny (1000 + seed) 4) in
   List.iter
     (fun tool ->
@@ -184,7 +193,7 @@ let check_fates seed =
         let golden = Core.Campaign.golden_output p tool in
         let verdict target bit =
           Core.Verdict.of_run ~golden_output:golden
-            (Core.Campaign.inject_bit r ~target ~bit)
+            (Core.Campaign.inject_bit ~model r ~target ~bit)
         in
         let budget = ref 150 in
         Array.iteri
@@ -195,7 +204,7 @@ let check_fates seed =
               (fun bit ->
                 if !budget > 0 then begin
                   decr budget;
-                  match Exhaust.fate tool inst ~bit with
+                  match Exhaust.fate ~model tool inst ~bit with
                   | Exhaust.Settled v ->
                     Alcotest.(check string)
                       (Printf.sprintf "%s target=%d bit=%d settled"

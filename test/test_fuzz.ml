@@ -182,6 +182,21 @@ let test_coverage_jobs_identical () =
   Alcotest.(check string) "jobs=1 and jobs=2 render byte-identically"
     (measure 1) (measure 2)
 
+(* The whole report for two workloads over every fault model, pinned:
+   a change to any site's width or to the bit a trial records changes
+   the digest. *)
+let test_coverage_pinned () =
+  let report =
+    Fuzz.Coverage.render
+      (Fuzz.Coverage.measure
+         ~workloads:[ mcf; Workloads.find_exn "raytrace" ]
+         ~models:Core.Fault_model.all ~trials:12 ~seed:3 ())
+  in
+  print_string report;
+  Alcotest.(check string) "mcf + raytrace, every model"
+    "089f290957a45682d62907452de18677"
+    (Digest.to_hex (Digest.string report))
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -199,5 +214,8 @@ let () =
       ( "contract",
         [ ("target is rng draw #0", `Slow, test_target_draw_contract) ] );
       ( "coverage",
-        [ ("jobs-independent report", `Slow, test_coverage_jobs_identical) ] );
+        [
+          ("jobs-independent report", `Slow, test_coverage_jobs_identical);
+          ("every model pinned", `Quick, test_coverage_pinned);
+        ] );
     ]

@@ -4,7 +4,8 @@
    - the wire codec is total (never raises on any input), round-trips
      every message, rejects foreign versions, and reports truncated
      frames as Need_more — the exact contract the select loop relies on;
-   - Plan.shards partitions the trial range for any chunk size;
+   - Engine.Scheduler.ranges partitions the trial range into shards
+     for any chunk size;
    - the journal round-trips its records and survives a torn tail;
    - a served job's CSV is byte-identical to the offline campaign of
      the same spec, shard plan and cell sharing notwithstanding;
@@ -232,7 +233,7 @@ let test_shards_partition =
   QCheck.Test.make ~name:"shards partition the trial range" ~count:500
     (QCheck.pair (QCheck.int_range 1 60) (QCheck.int_range (-5) 500))
     (fun (chunk, trials) ->
-      let shards = Plan.shards ~chunk ~trials in
+      let shards = Engine.Scheduler.ranges ~chunk:(Some chunk) trials in
       if trials <= 0 then shards = [ (0, 0) ]
       else
         let rec tile at = function
@@ -715,7 +716,9 @@ let test_journal_resume_headless () =
     Alcotest.(check bool) "journal records completion" true e.Joblog.e_done;
     Alcotest.(check bool) "only missing shards were journaled by the resume"
       true
-      (List.length e.Joblog.e_shards = List.length (Plan.shards ~chunk ~trials:job.Wire.j_trials))
+      (List.length e.Joblog.e_shards
+      = List.length
+          (Engine.Scheduler.ranges ~chunk:(Some chunk) job.Wire.j_trials))
   | es -> Alcotest.failf "expected 1 journal entry, got %d" (List.length es)
 
 let () =
