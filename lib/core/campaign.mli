@@ -92,10 +92,11 @@ val record_rejoin : prepared -> rejoin
 (** One extra digest-maintaining golden run per tool level
     ({!Llfi.record_rejoin} / {!Pinfi.record_rejoin}).  Trials of a
     [runner ~rejoin] finish early once their state digest matches a
-    golden boundary — same stats, byte-identical output — so the
-    engine can use it freely without touching the determinism
+    recorded golden landmark — same stats, byte-identical output — so
+    the engine can use it freely without touching the determinism
     guarantee.  The cost is amortized over every cell of the workload;
-    uneconomically long golden runs yield empty journals. *)
+    a golden run that would outgrow {!Vm.Rejoin.max_recorded_entries}
+    yields no journal for its level. *)
 
 val runner : ?rejoin:rejoin -> prepared -> tool -> Category.t -> runner
 

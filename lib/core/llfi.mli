@@ -81,9 +81,10 @@ type runner
 val record_rejoin : t -> Vm.Rejoin.t option
 (** One extra digest-maintaining golden run producing a reconvergence
     journal (see {!Vm.Rejoin}) shared by every category's runners;
-    [None] when the golden run is too long to journal economically.
-    Trials of a [runner ~rejoin] finish early once their state matches
-    a golden boundary — same stats, byte-identical output. *)
+    [None] when the golden run would outgrow
+    {!Vm.Rejoin.max_recorded_entries}.  Trials of a [runner ~rejoin]
+    finish early once their state matches a recorded golden landmark —
+    same stats, byte-identical output. *)
 
 val runner : ?rejoin:Vm.Rejoin.t -> t -> Category.t -> runner
 

@@ -140,10 +140,9 @@ let plan_target = draw_target
 type runner = { r_t : t; r_ff : Vm.X86_exec.ff }
 
 (* One reconvergence journal serves every category's runners; [None]
-   when the golden run is too long to journal economically. *)
+   when the golden run outgrows the journal's entry cap. *)
 let record_rejoin t =
-  if t.golden_steps > Vm.Rejoin.max_recorded_steps then None
-  else Some (Vm.X86_exec.record_journal ?fast:t.fast t.loaded ~inputs:t.inputs)
+  Vm.X86_exec.record_journal ?fast:t.fast t.loaded ~inputs:t.inputs
 
 let runner ?rejoin t category =
   {

@@ -62,7 +62,8 @@ type runner
 
 val record_rejoin : t -> Vm.Rejoin.t option
 (** As {!Llfi.record_rejoin}: a reconvergence journal for
-    [runner ~rejoin], or [None] for uneconomically long golden runs. *)
+    [runner ~rejoin], or [None] when the golden run would outgrow
+    {!Vm.Rejoin.max_recorded_entries}. *)
 
 val runner : ?rejoin:Vm.Rejoin.t -> t -> Category.t -> runner
 

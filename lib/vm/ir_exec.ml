@@ -84,6 +84,12 @@ type cblock = {
   mutable bend_live : int array;
       (* encoded slots that may still be read when the terminator is
          next — the rejoin digest boundary's live set (liveness pass) *)
+  landmark : bool;
+      (* the block-end boundary is a rejoin landmark: the function's
+         entry block or the target of a back edge (target index <=
+         source index).  Every CFG cycle contains a back edge and every
+         recursion enters an entry block, so every dynamic cycle
+         passes one. *)
 }
 
 type cfunc = {
@@ -453,6 +459,9 @@ let compile ?(classify = fun _ _ -> 0) (prog : Ir.Prog.t) =
         body = Array.of_list body;
         term;
         bend_live = [||];
+        landmark =
+          bi = 0
+          || List.exists (fun p -> p >= bi) (Ir.Cfg.predecessors_of cfg bi);
       }
     in
     {
@@ -527,6 +536,8 @@ let gid_limit c =
   let m = ref 0 in
   iter_compiled c (fun _ gid _ _ _ -> if gid >= !m then m := gid + 1);
   !m
+
+let is_landmark c ~func ~block = c.cfuncs.(func).cblocks.(block).landmark
 
 (* --- execution --- *)
 
@@ -608,12 +619,12 @@ type frame = {
    {!X86_exec}).  Memory writes feed an incremental XOR accumulator of
    before/after cell fingerprints — which telescopes to a pure function
    of current memory contents — while the live frame stack is hashed
-   from scratch only at boundaries that need a digest: every
-   body-instruction boundary on the recording golden run, every
-   [Rejoin.ir_period_mask + 1]-th visited boundary on a trial. *)
+   from scratch only at boundaries that need a digest: every landmark
+   block-end on the recording golden run, a landmark at most once per
+   [Rejoin.probe_gap] steps on a trial. *)
 type rej = {
   mutable rj_acc : int;  (* XOR of store-touched cell fingerprints *)
-  mutable rj_cnt : int;  (* body boundaries visited (trial probe clock) *)
+  mutable rj_next : int;  (* trial side: step count of the next probe *)
   rj_journal : Rejoin.t option;  (* trial side: probe for reconvergence *)
   rj_rec : Rejoin.builder option;  (* record side: journal builder *)
   rj_seen : Rejoin.seen;  (* trial side: loop detector *)
@@ -1907,7 +1918,7 @@ let frame_digest fr pos (live : int array) =
     h :=
       Rejoin.h2 !h
         (if e land 1 = 0 then Array.unsafe_get ienv (e lsr 1)
-         else float_fingerprint (Array.unsafe_get fenv (e lsr 1)))
+         else Rejoin.float_key (Array.unsafe_get fenv (e lsr 1)))
   done;
   !h
 
@@ -1938,13 +1949,12 @@ let check_key (st : state) rj fr (b : cblock) =
 
 exception Rejoined
 
-(* One block-end boundary (all body instructions done, terminator
-   next; every block traversal passes exactly one such point, so a
-   self-loop cannot dodge the probes).  Recording golden runs journal
-   every boundary; injected trials probe ({!Rejoin.probe}) every
-   [period_mask + 1]-th visited boundary — a boundary-visit counter,
-   not the step counter, which differs between golden and trial and
-   would misalign the residues. *)
+(* One landmark block-end boundary (all body instructions done,
+   terminator next; every traversal of a landmark block passes exactly
+   one such point, so a loop cannot dodge the probes).  Recording
+   golden runs journal every landmark boundary; injected trials probe
+   ({!Rejoin.probe}) at the first one [Rejoin.probe_gap] steps past
+   their previous probe. *)
 let rejoin_boundary (st : state) rj fr b =
   match rj.rj_rec with
   | Some bld ->
@@ -1953,10 +1963,9 @@ let rejoin_boundary (st : state) rj fr b =
   | None -> (
     match rj.rj_journal with
     | Some j
-      when st.injected
-           && (rj.rj_cnt <- rj.rj_cnt + 1;
-               rj.rj_cnt land Rejoin.ir_period_mask = 0)
+      when st.injected && st.steps >= rj.rj_next
            && (match st.fu_watch with FU_off -> true | _ -> false) ->
+      rj.rj_next <- st.steps + Rejoin.probe_gap;
       let steps =
         Rejoin.probe j rj.rj_seen ~key:(check_key st rj fr b) ~steps:st.steps
           ~max_steps:st.max_steps st.out
@@ -2092,8 +2101,8 @@ let exec_frames ?(fops = [||]) (c : compiled) st =
         if !dispatch then begin
           fr.pos <- n;
           (match st.rej with
-          | None -> ()
-          | Some rj -> rejoin_boundary st rj fr b);
+          | Some rj when b.landmark -> rejoin_boundary st rj fr b
+          | _ -> ());
           (* A returning call is itself an instance (of its mask): in
              Forward mode pause before the terminator of a frame whose
              ret pops into a matching call instruction. *)
@@ -2199,7 +2208,7 @@ let exec_to_stats ?(fops = [||]) (c : compiled) st =
   }
 
 let new_rej ?journal ?recorder ?(acc = 0) () =
-  { rj_acc = acc; rj_cnt = 0; rj_journal = journal; rj_rec = recorder;
+  { rj_acc = acc; rj_next = 0; rj_journal = journal; rj_rec = recorder;
     rj_seen = Rejoin.seen () }
 
 (* A fresh machine about to enter [main]. *)
@@ -2268,13 +2277,13 @@ let enumerate ?fast (c : compiled) ~inputs ~inj_mask ~max_steps =
 (* One digest-maintaining golden run; the resulting journal serves
    every trial of the same (program, inputs), whatever the category. *)
 let record_journal ?fast (c : compiled) ~inputs =
-  let b = Rejoin.builder () in
-  let st =
-    fresh_state ~rej:(new_rej ~recorder:b ()) c ~inputs ~max_steps:max_int
-      Phase.Plain
-  in
-  run_golden ?fast c st ~what:"Ir_exec.record_journal";
-  Rejoin.finish b ~total_steps:st.steps ~golden_out:(Buffer.contents st.out)
+  Rejoin.record (fun b ->
+      let st =
+        fresh_state ~rej:(new_rej ~recorder:b ()) c ~inputs ~max_steps:max_int
+          Phase.Plain
+      in
+      run_golden ?fast c st ~what:"Ir_exec.record_journal";
+      (st.steps, Buffer.contents st.out))
 
 (* --- snapshot / fast-forward executor ---
 

@@ -52,6 +52,13 @@ val gid_limit : compiled -> int
 (** One past the largest program-wide instruction id — the length to
     allocate for a [Profile_sites] array. *)
 
+val is_landmark : compiled -> func:int -> block:int -> bool
+(** Whether the end of block [block] (its index in the function's
+    block list) of the [func]-th function of the source program is a
+    {!Rejoin} landmark: the function's entry block, or the target of an
+    edge whose target index is at most its source index.  Journals
+    record, and trials probe, only there. *)
+
 type plan = {
   inj_mask : int;  (** category bit(s) to match *)
   target : int;  (** which dynamic instance to corrupt *)
@@ -137,9 +144,11 @@ val run :
 
 type ff
 
-val record_journal : ?fast:fast -> compiled -> inputs:int array -> Rejoin.t
+val record_journal :
+  ?fast:fast -> compiled -> inputs:int array -> Rejoin.t option
 (** One digest-maintaining golden run producing a {!Rejoin}
-    reconvergence journal for [ff_create ~rejoin].  The journal serves
+    reconvergence journal for [ff_create ~rejoin]; [None] when it
+    would outgrow {!Rejoin.max_recorded_entries}.  The journal serves
     every category of the same (program, inputs).
     @raise Invalid_argument if the golden run traps or overflows. *)
 

@@ -12,14 +12,26 @@
     run maintains an incremental Zobrist-style digest of the full
     machine state (registers / SSA slots, memory cells, allocator
     frontier, control position) and stores digest -> (step count,
-    output length) for every instruction boundary in an open-addressed
-    table.  A post-injection trial maintains the same digest and
-    periodically probes the table; on a hit it splices the recorded
-    golden output suffix onto its own, adds the remaining golden step
-    count, and finishes immediately.  Every stats field is provably
-    final at the match point (the interpreters guard the ones that are
-    not), so the spliced result is byte-identical to running the
-    suffix — at a fraction of the cost.
+    output length) at every {e landmark} boundary in an open-addressed
+    table.  A post-injection trial maintains the same digest and probes
+    the table at landmark boundaries, at most once per {!probe_gap}
+    steps; on a hit it splices the recorded golden output suffix onto
+    its own, adds the remaining golden step count, and finishes
+    immediately.  Every stats field is provably final at the match
+    point (the interpreters guard the ones that are not), so the
+    spliced result is byte-identical to running the suffix — at a
+    fraction of the cost.
+
+    Landmarks are control positions fixed by the program text, chosen
+    once when a program is loaded (x86: function entries and targets of
+    backward jumps; IR: the ends of entry blocks and back-edge targets).
+    The control position is part of the digest, so two equal digests
+    always sit at the same landmark: the recorder and a trial agree on
+    where to look with no alignment argument, and a hit is a full-state
+    match whatever the placement.  Placement only decides the hit rate:
+    every dynamic cycle passes a landmark, so a trial back on the golden
+    trajectory reaches a recorded boundary within one probe gap plus the
+    longest landmark-free stretch of straight-line code.
 
     Soundness notes:
     - The digest covers state that determines future behavior and
@@ -45,29 +57,35 @@ let mix z =
 let h2 a b = mix (a lxor mix b)
 let h3 a b c = mix (a lxor mix (b lxor mix c))
 
-(* Check-digest probes happen on trial boundaries where
-   [visited land period_mask = 0]; the golden recorder stores every
-   boundary, so any alignment matches within one period.  Because
-   reconvergence is permanent — identical state implies identical
-   future, so once a trial is back on the golden trajectory every
-   later probe also matches — a sparse period only delays detection
-   by at most one period of boundaries; it never loses a rejoin.  The
-   right period balances per-probe cost against detection delay, so
-   each interpreter picks its own: the x86 machine digests its whole
-   register file per probe (expensive, boundaries every step), the IR
-   machine the top frame's live slots (boundaries once per block).
-   Detection delay is bounded by one period — hundreds of steps
-   against trial suffixes of tens of thousands — so wide periods win:
-   measured on the benchmark campaign, widening from 63/15 to the
-   values below cut probe overhead on never-reconverging (SDC) trials
-   from ~20% to ~2% while giving up under 1% of the skipped work. *)
-let x86_period_mask = 511
-let ir_period_mask = 127
+(* [Int64.to_int] alone keeps the low 63 bits and drops the sign, so a
+   sign-flipped double would digest like the golden one and splice a
+   wrong suffix; fold bit 63 in separately. *)
+let float_key f =
+  let b = Int64.bits_of_float f in
+  h2 (Int64.to_int b) (Int64.to_int (Int64.shift_right_logical b 63))
 
-(* Journals are only recorded for golden runs up to this many steps:
-   the table costs ~32 bytes per boundary, and a workload long enough
-   to blow this budget amortizes its trials well anyway. *)
-let max_recorded_steps = 4_000_000
+(* A trial probes at a landmark boundary once [probe_gap] steps have
+   passed since its previous probe (its first landmark after the fault
+   always probes).  Reconvergence is permanent — identical state
+   implies identical future, so once a trial is back on the golden
+   trajectory every later landmark also matches — so the gap only
+   delays detection by about one gap; it never loses a rejoin.  The
+   gap balances per-probe cost (a whole register file or live frame
+   stack hashed, one table lookup) against that delay, which is small
+   next to trial suffixes of tens of thousands of steps.  Counting
+   steps, not landmark visits, keeps the rule the same for both VMs
+   whatever their landmark densities. *)
+let probe_gap = 512
+
+(* A journal holds at most this many entries; a recording run that
+   would store more yields no journal.  The table is two int arrays at
+   load <= 1/2, so 16..32 bytes per entry: a full journal is at most
+   32 MB.  Landmarks are about 8% of the boundaries (the twelve
+   default-input journals hold 129,174 entries where recording every
+   boundary took 1,608,357), so the cap sits past ten million golden
+   boundaries — far past every shipped workload, and a run that long
+   amortizes its trials well anyway. *)
+let max_recorded_entries = 1 lsl 20
 
 (* (steps, output length) packed into one int so the table is two flat
    int arrays: steps in the high bits, outlen in the low
@@ -81,9 +99,12 @@ type t = {
   keys : int array;  (* open-addressed digest table, load <= 1/2 *)
   vals : int array;  (* packed (steps, outlen); -1 = empty slot *)
   mask : int;
+  n : int;  (* entries held *)
   total_steps : int;  (* the golden run's final step count *)
   golden_out : string;  (* the golden run's full output *)
 }
+
+let entries t = t.n
 
 let slot keys vals mask key =
   let i = ref (key land mask) in
@@ -134,21 +155,42 @@ let insert b key v =
     false
   end
 
+(* Raised by [add] past [max_recorded_entries]; ends the recording run
+   at once, so an overlong golden run costs no more than the cap. *)
+exception Full
+
 (* First boundary wins: duplicates are hash collisions (a true state
    revisit would mean the golden run never terminates). *)
 let add b ~digest ~steps ~outlen =
-  if outlen < 1 lsl outlen_bits then
+  if outlen < 1 lsl outlen_bits then begin
+    if b.b_n >= max_recorded_entries then raise Full;
     ignore (insert b digest ((steps lsl outlen_bits) lor outlen))
+  end
+
+(* Telemetry (lib/obs): deterministic work counters.  A probe pays one
+   boolean load for them when metrics are off. *)
+let m_entries = Obs.Metrics.counter "vm.rejoin.entries"
+let m_probes = Obs.Metrics.counter "vm.rejoin.probes"
+let m_hits = Obs.Metrics.counter "vm.rejoin.hits"
+let m_steps_saved = Obs.Metrics.counter "vm.rejoin.steps_saved"
 
 let finish b ~total_steps ~golden_out =
+  Obs.Metrics.incr ~by:b.b_n m_entries;
   if b.b_mask < 0 then grow b;
   {
     keys = b.b_keys;
     vals = b.b_vals;
     mask = b.b_mask;
+    n = b.b_n;
     total_steps;
     golden_out;
   }
+
+let record run =
+  let b = builder () in
+  match run b with
+  | total_steps, golden_out -> Some (finish b ~total_steps ~golden_out)
+  | exception Full -> None
 
 (* Trial-side self-loop detection: a state digest recurring within one
    trial means the (deterministic) machine is in an infinite loop —
@@ -168,8 +210,11 @@ let seen = builder
    anywhere in the suffix.  On a miss, a digest seen twice within the
    trial proves a hang, worth [max_steps - steps] skipped work; the
    detector is armed only past the golden step total, which every hang
-   must cross, so trials that finish on time never touch the table. *)
+   must cross, so trials that finish on time never touch the table.
+   A looping trial's landmark states are finitely many and it probes
+   forever, so one of them recurs. *)
 let probe j seen ~key ~steps ~max_steps out =
+  Obs.Metrics.incr m_probes;
   let v = lookup j key in
   if v >= 0 then begin
     let total = steps + (j.total_steps - steps_of v) in
@@ -181,6 +226,8 @@ let probe j seen ~key ~steps ~max_steps out =
       && Buffer.length out + suffix < Outcome.output_cap
     then begin
       Buffer.add_substring out j.golden_out goutlen suffix;
+      Obs.Metrics.incr m_hits;
+      Obs.Metrics.incr ~by:(total - steps) m_steps_saved;
       total
     end
     else -1

@@ -22,10 +22,38 @@ open X86
 type loaded = {
   program : Backend.Program.t;
   masks : int array;  (* per-instruction category bitmask *)
+  landmarks : bool array;  (* per-instruction index, plus one past the end *)
 }
 
+(* Rejoin landmarks (see Rejoin): every function's entry (so every
+   [Call] target) and the target of every backward [Jmp]/[Jcc].  Calls
+   return just past their call site, so every dynamic cycle either
+   jumps backwards or recurses through a call, and passes one.  (A
+   cycle through a corrupted return address may not; such a trial only
+   loses the hang detector's shortcut and runs to its step limit.) *)
+let landmarks (p : Backend.Program.t) =
+  let l = Array.make (Array.length p.insns + 1) false in
+  List.iter
+    (fun (f : Ir.Func.t) ->
+      match Hashtbl.find_opt p.labels (Backend.Vfunc.func_label f.fname) with
+      | Some i -> l.(i) <- true
+      | None -> ())
+    p.source.funcs;
+  Array.iteri
+    (fun i (insn : Insn.t) ->
+      match insn with
+      | (Insn.Jmp _ | Insn.Jcc _) when p.resolved.(i) <= i ->
+        l.(p.resolved.(i)) <- true
+      | _ -> ())
+    p.insns;
+  l
+
 let load ?(classify = fun _ _ _ -> 0) (program : Backend.Program.t) =
-  { program; masks = Array.mapi (classify program) program.insns }
+  {
+    program;
+    masks = Array.mapi (classify program) program.insns;
+    landmarks = landmarks program;
+  }
 
 type policy = { flag_dependent_bits : bool; xmm_low64_only : bool }
 
@@ -55,8 +83,9 @@ type watch = No_watch | Watch_gp of Reg.t | Watch_xmm of Reg.t | Watch_flags
    the full machine state.  Memory writes are tracked incrementally in
    [rj_acc]; the register file is hashed whole at each boundary that
    needs a digest.  A recording golden run stores its digest at every
-   instruction boundary; a trial probes the journal periodically and
-   splices the golden suffix on a match. *)
+   landmark boundary; a trial probes the journal at landmarks, at most
+   once per [Rejoin.probe_gap] steps, and splices the golden suffix on
+   a match. *)
 type rej = {
   rj_store : int array;
       (* per-instruction memory-write kind: -1 none, 1/2/4/8 store
@@ -67,6 +96,7 @@ type rej = {
   mutable rj_waddr : int;  (* pending memory-write address; -1 = none *)
   mutable rj_wbytes : int;
   rj_seen : Rejoin.seen;  (* trial self-loop detector *)
+  mutable rj_next : int;  (* trial side: step count of the next probe *)
 }
 
 type machine = {
@@ -485,8 +515,8 @@ let enum_start m en (loaded : loaded) idx insn =
 
    Split by access cost: register state is tiny and O(1) to read, so
    the full register file is hashed from scratch at each boundary that
-   needs a digest (every step on the recording side, every
-   [Rejoin.x86_period_mask + 1] steps on the probing side).  Memory is
+   needs a digest (every landmark on the recording side, a landmark at
+   most once per [Rejoin.probe_gap] steps on the probing side).  Memory is
    unbounded, so it is tracked incrementally: the accumulator XORs the
    before/after fingerprints of every written cell, which telescopes to
    a pure function of current memory contents (per cell, all
@@ -508,8 +538,6 @@ let store_kind (insn : Insn.t) =
 
 let store_table (loaded : loaded) =
   Array.map store_kind loaded.program.insns
-
-let fbits f = Int64.to_int (Int64.bits_of_float f)
 
 (* XOR of fingerprints of the aligned 8-byte cells a [bytes]-wide write
    at [addr] touches (at most two). *)
@@ -537,7 +565,7 @@ let check_key m rj =
     h := Rejoin.h2 !h m.gp.(r)
   done;
   for r = 0 to 15 do
-    h := Rejoin.h2 !h (fbits m.xmm.(r))
+    h := Rejoin.h2 !h (Rejoin.float_key m.xmm.(r))
   done;
   h := Rejoin.h3 !h m.flags m.rip;
   Rejoin.h3 !h (Memory.heap_brk m.mem) (Memory.heap_mapped m.mem)
@@ -1139,23 +1167,27 @@ let rejoin_pre m insn rj idx =
   end
 
 (* Post-exec half: rehash the written cells, fold the delta into the
-   accumulator, then record (golden side) or probe (trial side).  Runs
-   after the mode dispatch; the injected register flip needs no
-   tracking because registers are hashed whole at each boundary. *)
-let rejoin_post m rj pre =
+   accumulator, then record (golden side) or probe (trial side) if the
+   next instruction is a landmark.  The landmark test sits inside those
+   two branches, so the fault-free rolling machine (neither side) pays
+   nothing for it.  Runs after the mode dispatch; the injected register
+   flip needs no tracking because registers are hashed whole at each
+   boundary. *)
+let rejoin_post m landmarks rj pre =
   if rj.rj_waddr >= 0 then
     rj.rj_acc <-
       rj.rj_acc lxor pre lxor cells_fp m rj.rj_waddr rj.rj_wbytes;
   match rj.rj_rec with
   | Some b ->
-    Rejoin.add b ~digest:(check_key m rj) ~steps:m.steps
-      ~outlen:(Buffer.length m.out)
+    if landmarks.(m.rip) then
+      Rejoin.add b ~digest:(check_key m rj) ~steps:m.steps
+        ~outlen:(Buffer.length m.out)
   | None -> (
     match rj.rj_journal with
     | Some j
-      when m.injected
-           && m.steps land Rejoin.x86_period_mask = 0
+      when m.injected && m.steps >= rj.rj_next && landmarks.(m.rip)
            && m.watch = No_watch ->
+      rj.rj_next <- m.steps + Rejoin.probe_gap;
       let steps =
         Rejoin.probe j rj.rj_seen ~key:(check_key m rj) ~steps:m.steps
           ~max_steps:m.max_steps m.out
@@ -1179,6 +1211,7 @@ let run_machine ?fast (loaded : loaded) m =
   let insns = p.insns in
   let resolved = p.resolved in
   let masks = loaded.masks in
+  let landmarks = loaded.landmarks in
   let n = Array.length insns in
   (* The phase payloads the pre-exec checks read, matched once. *)
   let fw = match m.phase with Phase.Forward f -> Some f | _ -> None in
@@ -1230,7 +1263,9 @@ let run_machine ?fast (loaded : loaded) m =
           end;
           inj.countdown <- inj.countdown - 1
         end);
-      match m.rej with None -> () | Some rj -> rejoin_post m rj pre
+      match m.rej with
+      | None -> ()
+      | Some rj -> rejoin_post m landmarks rj pre
     end
   done
 
@@ -1274,6 +1309,7 @@ let new_rej ?journal ?recorder ?(acc = 0) store =
     rj_waddr = -1;
     rj_wbytes = 0;
     rj_seen = Rejoin.seen ();
+    rj_next = 0;
   }
 
 (* A fresh machine at the program entry. *)
@@ -1339,14 +1375,14 @@ let run_golden ?fast (loaded : loaded) m ~what =
 
 (* Record a rejoin journal from one digest-maintaining golden run. *)
 let record_journal ?fast (loaded : loaded) ~inputs =
-  let b = Rejoin.builder () in
-  let m =
-    make_machine
-      ~rej:(new_rej ~recorder:b (store_table loaded))
-      loaded ~inputs ~max_steps:max_int Phase.Plain
-  in
-  run_golden ?fast loaded m ~what:"X86_exec.record_journal";
-  Rejoin.finish b ~total_steps:m.steps ~golden_out:(Buffer.contents m.out)
+  Rejoin.record (fun b ->
+      let m =
+        make_machine
+          ~rej:(new_rej ~recorder:b (store_table loaded))
+          loaded ~inputs ~max_steps:max_int Phase.Plain
+      in
+      run_golden ?fast loaded m ~what:"X86_exec.record_journal";
+      (m.steps, Buffer.contents m.out))
 
 (* Fault-space pre-pass: one golden Enumerate-phase run over the cell. *)
 let enumerate ?(policy = paper_policy) ?fast ~inputs ~inj_mask ~max_steps

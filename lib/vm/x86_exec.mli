@@ -10,13 +10,19 @@
     overwritten. *)
 
 (** Thread-safety contract: as {!Ir_exec.compiled} — [loaded] is
-    immutable once {!load} returns ([masks] is written only at load
-    time) and each {!run} builds a fresh machine record, so concurrent
+    immutable once {!load} returns ([masks] and [landmarks] are written
+    only at load time) and each {!run} builds a fresh machine record, so concurrent
     runs of one [loaded] program are safe provided the [plan.rng] and
     profile arrays passed in each run's mode are not shared. *)
 type loaded = {
   program : Backend.Program.t;
   masks : int array;  (** per-instruction category bitmask *)
+  landmarks : bool array;
+      (** per instruction index, one longer than [program.insns]: the
+          {!Rejoin} landmarks — every function's entry (so every
+          [Call] target) and every backward [Jmp]/[Jcc] target.
+          Journals record, and trials probe, only at boundaries where
+          [rip] is one. *)
 }
 
 val load :
@@ -106,9 +112,11 @@ val run :
 
 type ff
 
-val record_journal : ?fast:fast -> loaded -> inputs:int array -> Rejoin.t
+val record_journal :
+  ?fast:fast -> loaded -> inputs:int array -> Rejoin.t option
 (** One digest-maintaining golden run producing a {!Rejoin}
-    reconvergence journal for [ff_create ~rejoin].
+    reconvergence journal for [ff_create ~rejoin]; [None] when it
+    would outgrow {!Rejoin.max_recorded_entries}.
     @raise Invalid_argument if the golden run traps or never halts. *)
 
 val ff_create :

@@ -10,7 +10,8 @@
 # requires the CSV and the per-trial record file to be byte-identical.
 # A jobs-scaling smoke then runs a full-grid campaign at --jobs 1/2/4:
 # identical CSVs again, plus a wall-clock bound (jobs=4 must not lose
-# to jobs=1) and trace/manifest artifacts from the jobs=4 run.
+# to jobs=1), rejoin work counters that are nonzero and equal at
+# --jobs 1 and 4, and trace/manifest artifacts from the jobs=4 run.
 # This is the engine's core guarantee (README "Determinism guarantee")
 # exercised end-to-end through the installed CLI, records included.
 # --no-compile must change no byte of any output (compiled tier vs the
@@ -73,9 +74,12 @@ echo "== jobs-scaling smoke: --jobs 1/2/4 byte-identical, jobs=4 not slower =="
 # byte-identical, and the --jobs 4 wall must not exceed --jobs 1 (the
 # scheduler caps worker domains at the hardware, so even a 1-core
 # runner must not regress; the 1.2 factor absorbs runner noise on a
-# seconds-long run).  The --jobs 4 run also writes its Chrome trace
-# and run manifest (the metrics snapshot) into SCALE_ARTIFACT_DIR so
-# CI can upload them as debugging artifacts.
+# seconds-long run).  The --jobs 1 and 4 runs write their run
+# manifests (the metrics snapshot) and the --jobs 4 run its Chrome
+# trace into SCALE_ARTIFACT_DIR so CI can upload them as debugging
+# artifacts.  120 trials per cell records rejoin journals, so the
+# manifests must show rejoin hits, and the same hits and steps saved
+# on one domain and on four: the counters are deterministic per trial.
 scale_out=${SCALE_ARTIFACT_DIR:-$tmp}
 mkdir -p "$scale_out"
 scale() {
@@ -88,7 +92,7 @@ scale() {
     t1=$(date +%s.%N)
     awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", b - a }'
 }
-w1=$(scale 1 --no-manifest)
+w1=$(scale 1 --manifest "$scale_out/scale-manifest-j1.json")
 w2=$(scale 2 --no-manifest)
 w4=$(scale 4 --trace "$scale_out/scale-trace-j4.json" \
     --manifest "$scale_out/scale-manifest-j4.json")
@@ -101,6 +105,22 @@ cmp "$tmp/scale-1.csv" "$tmp/scale-4.csv" || {
     echo "FAIL: campaign CSV differs between --jobs 1 and --jobs 4" >&2
     exit 1
 }
+manifest_metric() {
+    sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p" "$1"
+}
+for m in vm.rejoin.hits vm.rejoin.steps_saved; do
+    r1=$(manifest_metric "$scale_out/scale-manifest-j1.json" "$m")
+    r4=$(manifest_metric "$scale_out/scale-manifest-j4.json" "$m")
+    [ -n "$r1" ] && [ "$r1" != 0 ] || {
+        echo "FAIL: $m is '${r1}' at --jobs 1: rejoin never fired" >&2
+        exit 1
+    }
+    [ "$r1" = "$r4" ] || {
+        echo "FAIL: $m differs between --jobs 1 ($r1) and --jobs 4 ($r4)" >&2
+        exit 1
+    }
+done
+echo "   rejoin: hits $(manifest_metric "$scale_out/scale-manifest-j1.json" vm.rejoin.hits) at --jobs 1 and 4"
 echo "   wall: jobs=1 ${w1}s  jobs=2 ${w2}s  jobs=4 ${w4}s"
 awk -v a="$w4" -v b="$w1" 'BEGIN { exit !(a <= b * 1.2) }' || {
     echo "FAIL: --jobs 4 wall ${w4}s exceeds --jobs 1 wall ${w1}s * 1.2" >&2

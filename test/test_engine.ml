@@ -3,6 +3,7 @@
 
 let mcf = Workloads.find_exn "mcf"
 let libquantum = Workloads.find_exn "libquantum"
+let raytrace = Workloads.find_exn "raytrace"
 
 let small_config = { Core.Campaign.default_config with trials = 12 }
 
@@ -442,11 +443,13 @@ let test_xcell_torn_tail =
 
 (* The golden-reconvergence early exit must be invisible in results:
    a runner armed with rejoin journals yields byte-identical cells for
-   every tool and category. *)
+   every tool and category.  The stuck-at-1 raytrace run holds trials
+   whose only difference from the golden state is a double's sign bit,
+   which a digest must not drop. *)
 let test_rejoin_identity () =
-  let config = { Core.Campaign.default_config with trials = 24 } in
+  let default = Core.Campaign.default_config in
   List.iter
-    (fun (w : Core.Workload.t) ->
+    (fun (config, (w : Core.Workload.t)) ->
       let p = Core.Campaign.prepare config w in
       let rejoin = Core.Campaign.record_rejoin p in
       List.iter
@@ -464,7 +467,127 @@ let test_rejoin_identity () =
                 (Core.Campaign.to_csv [ rej ]))
             Core.Category.all)
         [ Core.Campaign.Llfi_tool; Core.Campaign.Pinfi_tool ])
-    [ mcf; libquantum ]
+    [
+      ({ default with trials = 24 }, mcf);
+      ({ default with trials = 24 }, libquantum);
+      ( { default with trials = 60; model = Core.Fault_model.Stuck_at_1 },
+        raytrace );
+    ]
+
+(* Invisible is not enough: every probe could miss and the identity
+   test above would still pass.  A fixed journaled campaign (mcf +
+   raytrace, both tools, every category, 40 trials, seed 2014) must
+   rejoin at least 90% as often, and skip at least 90% as many steps,
+   as when journals stored every boundary: that design splices 467
+   trials and saves 48,509,294 steps on this campaign. *)
+let counter name =
+  match List.assoc_opt name (Obs.Metrics.snapshot ()) with
+  | Some (Obs.Metrics.Count n) -> n
+  | _ -> Alcotest.failf "no counter %s" name
+
+let test_rejoin_fires () =
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:Obs.Metrics.reset (fun () ->
+      let config =
+        { Core.Campaign.default_config with trials = 40; seed = 2014 }
+      in
+      ignore (Engine.Scheduler.run ~jobs:1 config [ mcf; raytrace ]);
+      let hits = counter "vm.rejoin.hits"
+      and saved = counter "vm.rejoin.steps_saved" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d hits >= 90%% of 467" hits)
+        true
+        (10 * hits >= 9 * 467);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d steps saved >= 90%% of 48509294" saved)
+        true
+        (10 * saved >= 9 * 48_509_294))
+
+(* Every dynamic cycle must pass a landmark, or a reconverged trial in
+   a loop could run on without meeting a recorded state.  IR: every
+   function's entry block and every target of an edge that does not
+   go forward; x86: every function entry and every target of a jump
+   that does not go forward (Call targets are function entries). *)
+let test_landmarks_cover_cycles () =
+  List.iter
+    (fun (w : Core.Workload.t) ->
+      let p = Core.Campaign.prepare small_config w in
+      let c = p.llfi.Core.Llfi.compiled in
+      List.iteri
+        (fun fi (f : Ir.Func.t) ->
+          let cfg = Ir.Cfg.of_func f in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s entry" w.name f.fname)
+            true
+            (Vm.Ir_exec.is_landmark c ~func:fi ~block:0);
+          Array.iteri
+            (fun bi _ ->
+              List.iter
+                (fun s ->
+                  if s <= bi then
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s %s back edge %d->%d" w.name f.fname
+                         bi s)
+                      true
+                      (Vm.Ir_exec.is_landmark c ~func:fi ~block:s))
+                (Ir.Cfg.successors_of cfg bi))
+            cfg.Ir.Cfg.blocks)
+        p.prog.Ir.Prog.funcs;
+      let loaded = p.pinfi.Core.Pinfi.loaded in
+      let asm = loaded.Vm.X86_exec.program in
+      List.iter
+        (fun (f : Ir.Func.t) ->
+          let e = Hashtbl.find asm.labels (Backend.Vfunc.func_label f.fname) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s x86 %s entry" w.name f.fname)
+            true loaded.landmarks.(e))
+        asm.source.Ir.Prog.funcs;
+      Array.iteri
+        (fun i (insn : X86.Insn.t) ->
+          let t = asm.resolved.(i) in
+          let must =
+            match insn with
+            | X86.Insn.Call _ -> true
+            | X86.Insn.Jmp _ | X86.Insn.Jcc _ -> t <= i
+            | _ -> false
+          in
+          if must then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s x86 target of insn %d" w.name i)
+              true loaded.landmarks.(t))
+        asm.insns)
+    Workloads.all
+
+(* The recorded work, pinned: each default-input journal's exact entry
+   count (LLFI, PINFI), so any change in where journals record shows
+   up here.  129,174 in all; journals that stored every boundary held
+   1,608,357. *)
+let test_journal_entries_pinned () =
+  let got =
+    List.map
+      (fun (w : Core.Workload.t) ->
+        let p = Core.Campaign.prepare small_config w in
+        let n = function
+          | Some j -> Vm.Rejoin.entries j
+          | None -> -1
+        in
+        Printf.sprintf "%s %d %d" w.name
+          (n (Core.Llfi.record_rejoin p.llfi))
+          (n (Core.Pinfi.record_rejoin p.pinfi)))
+      Workloads.all
+  in
+  Alcotest.(check (list string))
+    "entries per journal"
+    [
+      "bzip2 21341 28107";
+      "libquantum 11013 11268";
+      "ocean 8815 8814";
+      "hmmer 8152 8151";
+      "mcf 5690 6763";
+      "raytrace 3980 7080";
+    ]
+    got
 
 let () =
   Alcotest.run "engine"
@@ -489,7 +612,12 @@ let () =
           QCheck_alcotest.to_alcotest test_drain_order_insensitive;
         ] );
       ( "rejoin",
-        [ ("rejoin keeps cells byte-identical", `Slow, test_rejoin_identity) ] );
+        [
+          ("rejoin keeps cells byte-identical", `Slow, test_rejoin_identity);
+          ("rejoin fires on a fixed campaign", `Slow, test_rejoin_fires);
+          ("landmarks cover every cycle", `Quick, test_landmarks_cover_cycles);
+          ("journal entry counts pinned", `Quick, test_journal_entries_pinned);
+        ] );
       ( "journal",
         [
           ("roundtrip + header check", `Slow, test_journal_roundtrip);

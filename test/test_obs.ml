@@ -106,6 +106,36 @@ let test_merge_jobs_invariant () =
   Alcotest.(check (list (pair string metric_value_pp)))
     "deterministic metrics identical for jobs=1 and jobs=4" metrics1 metrics4
 
+(* The rejoin work counters are deterministic per trial, so they merge
+   to the same totals on one domain and on two.  40 trials per cell is
+   enough for the engine to record journals, and the run must actually
+   rejoin. *)
+let test_rejoin_counters_jobs_invariant () =
+  let run jobs =
+    with_telemetry (fun () ->
+        Obs.Metrics.enable ();
+        let config = { Core.Campaign.default_config with trials = 40 } in
+        ignore (Engine.Scheduler.run ~jobs config [ mcf ]);
+        List.filter
+          (fun (name, _) -> String.starts_with ~prefix:"vm.rejoin." name)
+          (Obs.Metrics.snapshot ()))
+  in
+  let metrics1 = run 1 in
+  let metrics2 = run 2 in
+  Alcotest.(check (list string))
+    "the four rejoin counters"
+    [
+      "vm.rejoin.entries";
+      "vm.rejoin.hits";
+      "vm.rejoin.probes";
+      "vm.rejoin.steps_saved";
+    ]
+    (List.map fst metrics1);
+  Alcotest.(check bool) "rejoin fired" true
+    (List.assoc "vm.rejoin.hits" metrics1 <> Obs.Metrics.Count 0);
+  Alcotest.(check (list (pair string metric_value_pp)))
+    "rejoin counters identical for jobs=1 and jobs=2" metrics1 metrics2
+
 let test_snapshot_sorted_and_complete () =
   with_telemetry (fun () ->
       Obs.Metrics.enable ();
@@ -269,6 +299,8 @@ let () =
         [
           Alcotest.test_case "jobs=1 vs jobs=4 identical" `Slow
             test_merge_jobs_invariant;
+          Alcotest.test_case "rejoin counters jobs=1 vs jobs=2" `Slow
+            test_rejoin_counters_jobs_invariant;
           Alcotest.test_case "snapshot sorted and complete" `Quick
             test_snapshot_sorted_and_complete;
         ] );
