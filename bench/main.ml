@@ -327,20 +327,22 @@ let snapshot_speedup () =
       :: !bench_failures
 
 (* ----------------------------------------------------------------- *)
-(* Part 1d'': closure-compiled execution vs the tree-walkers          *)
+(* Part 1d'': closure tables vs the tree-walking reference          *)
 (* ----------------------------------------------------------------- *)
 
-(* Raw fault-free step throughput of the closure-compiled tier (the one
-   every trial, fast-forward advance, profiling run and rejoin recording
-   dispatches through) against the tree-walking interpreters, per
-   workload and per engine, plus a dispatch-bound integer kernel.  The
+(* Raw fault-free step throughput of each program's closure table (the
+   one every trial, fast-forward advance, profiling run and rejoin
+   recording dispatches through) against the same program's
+   [reference] table of tree-walker closures, per workload and per
+   engine, plus a dispatch-bound integer kernel.  Both arms run the
+   same dispatch loop and differ only in the table.  The
    kernel carries the hard [compile_floor] gate: the six reproduction
    workloads mix memory traffic and intrinsic calls where both engines
    share the same Memory and syscall code, so their speedups vary with
    workload shape; the kernel isolates the dispatch +
-   operand-resolution cost the compiled tier exists to remove.  The
-   identity attestation is a whole campaign run through both engines
-   and compared CSV byte for byte — the tier's contract is speed with
+   operand-resolution cost the closures exist to remove.  The identity
+   attestation is a whole campaign run through both tables and
+   compared CSV byte for byte — the closures' contract is speed with
    bit-identical results. *)
 
 let dispatch_kernel : Core.Workload.t =
@@ -375,7 +377,7 @@ int main() {
 let compile_floor = 3.9
 
 let compile_speedup () =
-  section "Compiled execution: closure-compiled tier vs tree-walking interpreters";
+  section "Compiled execution: closure tables vs the tree-walking reference";
   (* The arms alternate within each rep, so a burst of load on the
      host slows every arm of that rep rather than one arm's whole
      block; each arm keeps its best time. *)
@@ -392,34 +394,26 @@ let compile_speedup () =
     best
   in
   let ms v t = float_of_int v /. t /. 1e6 in
-  (* One row per workload x engine: interp and compiled step
+  (* One row per workload x engine: reference and compiled step
      throughput from the best of [reps] fault-free runs each. *)
   let row reps (w : Core.Workload.t) =
     let p = Core.Campaign.prepare config w in
-    let l = p.Core.Campaign.llfi and x = p.Core.Campaign.pinfi in
-    let lfast =
-      match l.Core.Llfi.fast with
-      | Some f -> f
-      | None -> Vm.Ir_exec.compile_fast l.Core.Llfi.compiled
-    in
-    let xfast =
-      match x.Core.Pinfi.fast with
-      | Some f -> f
-      | None -> Vm.X86_exec.compile x.Core.Pinfi.loaded
-    in
+    let l = p.Core.Campaign.llfi.Core.Llfi.compiled
+    and x = p.Core.Campaign.pinfi.Core.Pinfi.loaded in
+    let l_ref = Vm.Ir_exec.reference l and x_ref = Vm.X86_exec.reference x in
     let inputs = w.Core.Workload.inputs in
     let t =
       best_of reps
         [
-          (fun () -> Vm.Ir_exec.run ~inputs Golden l.Core.Llfi.compiled);
-          (fun () -> Vm.Ir_exec.run ~inputs ~fast:lfast Golden l.Core.Llfi.compiled);
-          (fun () -> Vm.X86_exec.run ~inputs Golden x.Core.Pinfi.loaded);
-          (fun () -> Vm.X86_exec.run ~inputs ~fast:xfast Golden x.Core.Pinfi.loaded);
+          (fun () -> Vm.Ir_exec.run ~inputs Golden l_ref);
+          (fun () -> Vm.Ir_exec.run ~inputs Golden l);
+          (fun () -> Vm.X86_exec.run ~inputs Golden x_ref);
+          (fun () -> Vm.X86_exec.run ~inputs Golden x);
         ]
     in
     let t_li = t.(0) and t_lc = t.(1) and t_xi = t.(2) and t_xc = t.(3) in
-    let lsteps = l.Core.Llfi.golden_steps
-    and xsteps = x.Core.Pinfi.golden_steps in
+    let lsteps = p.Core.Campaign.llfi.Core.Llfi.golden_steps
+    and xsteps = p.Core.Campaign.pinfi.Core.Pinfi.golden_steps in
     Printf.printf
       "  %-12s IR  %7.1f -> %7.1f Msteps/s (%5.2fx)   x86 %7.1f -> %7.1f \
        Msteps/s (%5.2fx)\n"
@@ -429,7 +423,7 @@ let compile_speedup () =
   in
   let rows = List.map (row 3) Workloads.all in
   let ir_k, x86_k = row 9 dispatch_kernel in
-  (* Identity attestation: a whole campaign, compiled vs interpreted,
+  (* Identity attestation: a whole campaign, compiled vs reference,
      must be CSV byte-identical (the differential tests check this per
      workload; the bench re-checks it on every run so the committed
      JSON attests it for the exact build being measured). *)
@@ -443,7 +437,7 @@ let compile_speedup () =
       (snd (Core.Campaign.run_workload { config with compile = false } w))
   in
   if not (String.equal csv_c csv_i) then
-    failwith "compile_speedup: compiled campaign CSV diverges from interpreted";
+    failwith "compile_speedup: compiled campaign CSV diverges from the reference";
   let best_speedup =
     List.fold_left
       (fun acc (a, b) -> max acc (max a b))
@@ -1088,8 +1082,8 @@ let serve_throughput () =
    about.  Interleaved rounds with per-round ratios, same rationale as
    the diagnose/obs sections: machine-load drift cancels out of a
    quotient of adjacent runs.  Gate at 10%.  The identity attestation
-   re-checks, per model, that the compiled tier and the interpreters
-   agree on the full campaign CSV byte for byte. *)
+   re-checks, per model, that the closure tables and the tree-walking
+   reference agree on the full campaign CSV byte for byte. *)
 let model_overhead () =
   section "Fault models: per-model step throughput vs the bitflip baseline";
   let w = Workloads.find_exn "mcf" in
@@ -1105,8 +1099,8 @@ let model_overhead () =
       if not (String.equal (csv true) (csv false)) then
         failwith
           (Printf.sprintf
-             "model_overhead: %s campaign CSV diverges between compiled tier \
-              and interpreters"
+             "model_overhead: %s campaign CSV diverges between the closure \
+              tables and the reference"
              (Core.Fault_model.name m)))
     Core.Fault_model.all;
   let prog = Opt.optimize (Minic.compile w.Core.Workload.source) in
@@ -1158,7 +1152,7 @@ let model_overhead () =
     others;
   let worst = Array.fold_left max 1.0 ratios in
   Printf.printf
-    "  worst overhead: %.3fx — per-model CSV byte-identical across tiers\n"
+    "  worst overhead: %.3fx — per-model CSV byte-identical to the reference\n"
     worst;
   let key m =
     String.map

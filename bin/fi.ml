@@ -132,22 +132,10 @@ let trials_arg default =
     & info [ "n"; "trials" ] ~docv:"N"
         ~doc:"Fault injections per benchmark x tool x category cell.")
 
-let config_of ?(no_compile = false) ?(model = Core.Fault_model.Bitflip)
-    ~trials ~seed () =
-  { Core.Campaign.default_config with trials; seed; model; compile = not no_compile }
+let config_of ?(model = Core.Fault_model.Bitflip) ~trials ~seed () =
+  { Core.Campaign.default_config with trials; seed; model }
 
 (* --- execution-engine flags (campaign, inject) --- *)
-
-let no_compile_arg =
-  Arg.(
-    value & flag
-    & info [ "no-compile" ]
-        ~doc:
-          "Disable the closure-compiled execution tier and run every \
-           golden, profiling and trial execution on the tree-walking \
-           interpreters.  Results are byte-identical either way; this \
-           is the reference path, kept as an escape hatch and \
-           benchmarking baseline.")
 
 let jobs_arg =
   Arg.(
@@ -390,11 +378,11 @@ let profile_cmd =
 
 let inject_cmd =
   let run (w : Core.Workload.t) tool category model trials seed functions jobs
-      journal resume no_compile obs =
+      journal resume obs =
     match check_engine_flags ~journal ~resume with
     | `Error _ as e -> e
     | `Ok () ->
-    let config = config_of ~no_compile ~model ~trials ~seed () in
+    let config = config_of ~model ~trials ~seed () in
     let config =
       match functions with
       | [] -> config
@@ -420,7 +408,6 @@ let inject_cmd =
           ("seed", Obs.Json.Int seed);
           ("trials", Obs.Json.Int trials);
           ("jobs", Obs.Json.Int (resolve_jobs jobs));
-          ("compile", Obs.Json.Bool (not no_compile));
         ]
     in
     (* A single cell run through the engine: with --jobs N the cell is
@@ -479,7 +466,7 @@ let inject_cmd =
       ret
         (const run $ workload_arg $ tool_arg $ cat_arg $ model_arg
        $ trials_arg 200 $ seed_arg $ functions_arg $ jobs_arg $ journal_arg
-       $ resume_arg $ no_compile_arg
+       $ resume_arg
        $ obs_term ~manifest_default:None))
 
 (* --- propagate --- *)
@@ -630,12 +617,12 @@ let records_arg =
 
 let campaign_cmd =
   let run model trials seed csv_file workload_filter jobs journal resume
-      records no_compile obs =
+      records obs =
     match check_engine_flags ~journal ~resume with
     | `Error _ as e -> e
     | `Ok () ->
     let jobs = resolve_jobs jobs in
-    let config = config_of ~no_compile ~model ~trials ~seed () in
+    let config = config_of ~model ~trials ~seed () in
     let workloads =
       match workload_filter with
       | [] -> Workloads.all
@@ -648,7 +635,6 @@ let campaign_cmd =
           ("trials", Obs.Json.Int trials);
           ("model", Obs.Json.Str (Core.Fault_model.name model));
           ("jobs", Obs.Json.Int jobs);
-          ("compile", Obs.Json.Bool (not no_compile));
           ("journal", Obs.Json.Bool (journal <> None));
           ("records", Obs.Json.Bool (records <> None));
           ("workloads", kv_workloads workloads);
@@ -725,14 +711,13 @@ let campaign_cmd =
       ret
         (const run $ model_arg $ trials_arg 200 $ seed_arg $ csv_arg
        $ filter_arg $ jobs_arg $ journal_arg $ resume_arg $ records_arg
-       $ no_compile_arg
        $ obs_term ~manifest_default:(Some "fi-manifest.json")))
 
 (* --- diagnose --- *)
 
 let diagnose_cmd =
   let run workload_filter tools categories model trials seed from records
-      csv_file jobs no_compile obs =
+      csv_file jobs obs =
     match from with
     | Some path -> (
       (* Consume an existing record file instead of running anything. *)
@@ -742,7 +727,7 @@ let diagnose_cmd =
         print_string (Diagnose.Summary.render rs);
         `Ok 0)
     | None ->
-      let config = config_of ~no_compile ~model ~trials ~seed () in
+      let config = config_of ~model ~trials ~seed () in
       let workloads =
         match workload_filter with
         | [] -> Workloads.all
@@ -835,7 +820,7 @@ let diagnose_cmd =
       ret
         (const run $ filter_arg $ tools_arg $ cats_arg $ model_arg
        $ trials_arg 200 $ seed_arg $ from_arg $ records_arg $ csv_arg
-       $ jobs_arg $ no_compile_arg
+       $ jobs_arg
        $ obs_term ~manifest_default:None))
 
 (* --- exhaust --- *)
@@ -1191,7 +1176,7 @@ let tools_of = function
       l
 
 let serve_cmd =
-  let run socket tcp pool chunk journal idle no_compile obs =
+  let run socket tcp pool chunk journal idle obs =
     let tcp =
       match tcp with
       | None -> `Ok None
@@ -1214,7 +1199,6 @@ let serve_cmd =
             ("pool", Obs.Json.Int pool);
             ("chunk", Obs.Json.Int (Option.value chunk ~default:0));
             ("journal", Obs.Json.Bool (journal <> None));
-            ("compile", Obs.Json.Bool (not no_compile));
           ]
       in
       let cfg =
@@ -1224,7 +1208,6 @@ let serve_cmd =
           pool_size = pool;
           chunk;
           journal;
-          base = { Core.Campaign.default_config with compile = not no_compile };
           idle_timeout = idle;
           handle_signals = true;
         }
@@ -1311,7 +1294,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ socket_arg $ tcp_arg $ pool_arg $ chunk_arg
-       $ serve_journal_arg $ idle_arg $ no_compile_arg
+       $ serve_journal_arg $ idle_arg
        $ obs_term ~manifest_default:None))
 
 let serve_tools_arg =

@@ -21,7 +21,7 @@ type config = {
   llfi : Llfi.config;
   pinfi : Pinfi.config;
   backend : Backend.config;
-  compile : bool;  (* closure-compile both programs once per workload *)
+  compile : bool;  (* false: run on the tree-walking test reference *)
 }
 
 let default_config =

@@ -25,16 +25,17 @@ type config = {
   pinfi : Pinfi.config;
   backend : Backend.config;
   compile : bool;
-      (** closure-compile both programs once per workload ({!Llfi.prepare}
-          / {!Pinfi.prepare} with [~compile]) and run every profiling,
-          rejoin-recording and trial execution through the compiled tier.
-          Byte-identical results either way; off is the tree-walking
-          reference path (the [--no-compile] escape hatch). *)
+      (** [true] (the default, and the only production setting): both
+          programs run on their closure tables.  [false] selects the
+          tree-walking test reference ({!Vm.Ir_exec.reference} /
+          {!Vm.X86_exec.reference}, through {!Llfi.prepare} /
+          {!Pinfi.prepare} with [~compile]); results are byte-identical
+          either way.  No CLI flag sets it. *)
 }
 
 val default_config : config
 (** 200 trials per cell, seed 2014, both tools' paper policies,
-    compiled tier on. *)
+    closure tables on. *)
 
 val paper_config : config
 (** The paper's 1000 injections per cell. *)

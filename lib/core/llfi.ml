@@ -71,9 +71,6 @@ let classify config (f : Ir.Func.t) =
 type t = {
   config : config;
   compiled : Vm.Ir_exec.compiled;
-  fast : Vm.Ir_exec.fast option;
-      (* closure-compiled execution tier; None runs the tree-walking
-         interpreter everywhere (the [fi --no-compile] path) *)
   golden_output : string;
   golden_steps : int;
   max_steps : int;
@@ -89,9 +86,9 @@ let hang_factor = 10
 let prepare ?(config = default_config) ?(compile = true) ~inputs
     (prog : Ir.Prog.t) =
   let compiled = Vm.Ir_exec.compile ~classify:(classify config) prog in
-  let fast = if compile then Some (Vm.Ir_exec.compile_fast compiled) else None in
+  let compiled = if compile then compiled else Vm.Ir_exec.reference compiled in
   let counts = Array.make (1 lsl Category.count) 0 in
-  let golden = Vm.Ir_exec.run ~inputs ?fast (Profile counts) compiled in
+  let golden = Vm.Ir_exec.run ~inputs (Profile counts) compiled in
   let golden_output =
     match golden.Vm.Outcome.outcome with
     | Vm.Outcome.Finished out -> out
@@ -103,7 +100,6 @@ let prepare ?(config = default_config) ?(compile = true) ~inputs
   {
     config;
     compiled;
-    fast;
     golden_output;
     golden_steps = golden.Vm.Outcome.steps;
     max_steps = (golden.Vm.Outcome.steps * hang_factor) + 10_000;
@@ -132,7 +128,7 @@ let inject ?(track_use = false) ?(model = Fault_model.Bitflip) t category
   let plan =
     { Vm.Ir_exec.inj_mask = Category.mask category; target; rng }
   in
-  Vm.Ir_exec.run ~inputs:t.inputs ~max_steps:t.max_steps ?fast:t.fast
+  Vm.Ir_exec.run ~inputs:t.inputs ~max_steps:t.max_steps
     (Inject (plan, { model; forced_bit = None; track_use }))
     t.compiled
 
@@ -143,13 +139,13 @@ type runner = { r_t : t; r_ff : Vm.Ir_exec.ff }
 (* One reconvergence journal serves every category's runners; [None]
    when the golden run outgrows the journal's entry cap. *)
 let record_rejoin t =
-  Vm.Ir_exec.record_journal ?fast:t.fast t.compiled ~inputs:t.inputs
+  Vm.Ir_exec.record_journal t.compiled ~inputs:t.inputs
 
 let runner ?rejoin t category =
   {
     r_t = t;
     r_ff =
-      Vm.Ir_exec.ff_create t.compiled ?rejoin ?fast:t.fast ~inputs:t.inputs
+      Vm.Ir_exec.ff_create t.compiled ?rejoin ~inputs:t.inputs
         ~inj_mask:(Category.mask category) ();
   }
 
@@ -162,7 +158,7 @@ let inject_at ?(track_use = false) ?(model = Fault_model.Bitflip) r ~target rng
 (* --- exhaustive campaigns (lib/exhaust) --- *)
 
 let enumerate t category =
-  Vm.Ir_exec.enumerate ?fast:t.fast t.compiled ~inputs:t.inputs
+  Vm.Ir_exec.enumerate t.compiled ~inputs:t.inputs
     ~inj_mask:(Category.mask category) ~max_steps:t.max_steps
 
 let inject_bit ?(track_use = false) ~model r ~target ~bit =

@@ -29,11 +29,6 @@ val classify : config -> Ir.Func.t -> Ir.Instr.t -> int
 type t = {
   config : config;
   compiled : Vm.Ir_exec.compiled;
-  fast : Vm.Ir_exec.fast option;
-      (** closure-compiled execution tier used by every run below when
-          present; [None] falls back to the tree-walking interpreter
-          everywhere (the [fi --no-compile] path).  Results are
-          bit-identical either way. *)
   golden_output : string;
   golden_steps : int;
   max_steps : int;  (** hang budget: 10x the golden run *)
@@ -43,9 +38,11 @@ type t = {
 
 val prepare : ?config:config -> ?compile:bool -> inputs:int array -> Ir.Prog.t -> t
 (** One fault-free profiling run, which yields the golden output and
-    step count as well as the dynamic counts.  [compile] (default true)
-    builds the closure-compiled tier once and routes every run through
-    it.
+    step count as well as the dynamic counts.  [compile:false] swaps
+    the program's closure table for {!Vm.Ir_exec.reference}, the
+    tree-walker the differential tests compare against; results are
+    bit-identical either way, and the default is the only production
+    setting.
     @raise Invalid_argument if the golden run does not finish. *)
 
 val dynamic_count : t -> Category.t -> int

@@ -73,9 +73,6 @@ let classify (program : Backend.Program.t) index (insn : X86.Insn.t) =
 type t = {
   config : config;
   loaded : Vm.X86_exec.loaded;
-  fast : Vm.X86_exec.fast option;
-      (* closure-compiled execution tier; None runs the tree-walking
-         interpreter everywhere (the [fi --no-compile] path) *)
   golden_output : string;
   golden_steps : int;
   max_steps : int;
@@ -88,9 +85,9 @@ let hang_factor = 10
 let prepare ?(config = default_config) ?(compile = true) ~inputs
     (program : Backend.Program.t) =
   let loaded = Vm.X86_exec.load ~classify program in
-  let fast = if compile then Some (Vm.X86_exec.compile loaded) else None in
+  let loaded = if compile then loaded else Vm.X86_exec.reference loaded in
   let counts = Array.make (1 lsl Category.count) 0 in
-  let golden = Vm.X86_exec.run ~inputs ?fast (Profile counts) loaded in
+  let golden = Vm.X86_exec.run ~inputs (Profile counts) loaded in
   let golden_output =
     match golden.Vm.Outcome.outcome with
     | Vm.Outcome.Finished out -> out
@@ -102,7 +99,6 @@ let prepare ?(config = default_config) ?(compile = true) ~inputs
   {
     config;
     loaded;
-    fast;
     golden_output;
     golden_steps = golden.Vm.Outcome.steps;
     max_steps = (golden.Vm.Outcome.steps * hang_factor) + 10_000;
@@ -131,7 +127,7 @@ let inject ?(track_use = false) ?(model = Fault_model.Bitflip) t category
       policy = t.config.policy;
     }
   in
-  Vm.X86_exec.run ~inputs:t.inputs ~max_steps:t.max_steps ?fast:t.fast
+  Vm.X86_exec.run ~inputs:t.inputs ~max_steps:t.max_steps
     (Inject (plan, { model; forced_bit = None; track_use }))
     t.loaded
 
@@ -142,14 +138,14 @@ type runner = { r_t : t; r_ff : Vm.X86_exec.ff }
 (* One reconvergence journal serves every category's runners; [None]
    when the golden run outgrows the journal's entry cap. *)
 let record_rejoin t =
-  Vm.X86_exec.record_journal ?fast:t.fast t.loaded ~inputs:t.inputs
+  Vm.X86_exec.record_journal t.loaded ~inputs:t.inputs
 
 let runner ?rejoin t category =
   {
     r_t = t;
     r_ff =
       Vm.X86_exec.ff_create t.loaded ~policy:t.config.policy ?rejoin
-        ?fast:t.fast ~inputs:t.inputs ~inj_mask:(Category.mask category) ();
+        ~inputs:t.inputs ~inj_mask:(Category.mask category) ();
   }
 
 let inject_at ?(track_use = false) ?(model = Fault_model.Bitflip) r ~target rng
@@ -161,7 +157,7 @@ let inject_at ?(track_use = false) ?(model = Fault_model.Bitflip) r ~target rng
 (* --- exhaustive campaigns (lib/exhaust) --- *)
 
 let enumerate t category =
-  Vm.X86_exec.enumerate ~policy:t.config.policy ?fast:t.fast ~inputs:t.inputs
+  Vm.X86_exec.enumerate ~policy:t.config.policy ~inputs:t.inputs
     ~inj_mask:(Category.mask category) ~max_steps:t.max_steps t.loaded
 
 let inject_bit ?(track_use = false) ~model r ~target ~bit =

@@ -22,11 +22,6 @@ val classify : Backend.Program.t -> int -> X86.Insn.t -> int
 type t = {
   config : config;
   loaded : Vm.X86_exec.loaded;
-  fast : Vm.X86_exec.fast option;
-      (** closure-compiled execution tier used by every run below when
-          present; [None] falls back to the tree-walking interpreter
-          everywhere (the [fi --no-compile] path).  Results are
-          bit-identical either way. *)
   golden_output : string;
   golden_steps : int;
   max_steps : int;
@@ -36,8 +31,8 @@ type t = {
 
 val prepare :
   ?config:config -> ?compile:bool -> inputs:int array -> Backend.Program.t -> t
-(** As {!Llfi.prepare}: [compile] (default true) builds the
-    closure-compiled tier once and routes all runs through it. *)
+(** As {!Llfi.prepare}: [compile:false] runs on
+    {!Vm.X86_exec.reference}, the test reference. *)
 
 val dynamic_count : t -> Category.t -> int
 val inject :

@@ -1,7 +1,7 @@
 (** Run manifest: one machine-readable JSON record per [fi] invocation.
 
     The manifest is the auditable summary of what a run actually did:
-    the configuration it ran under (seed, trials, jobs, compiled tier),
+    the configuration it ran under (seed, trials, jobs, model),
     the environment it ran in (OCaml version, git revision, host),
     per-section wall-clock, a merged {!Metrics} snapshot, and MD5
     digests of the run's outputs (the campaign CSV above all).  Two

@@ -50,7 +50,7 @@ val config_for :
   model:Core.Fault_model.t ->
   trials:int -> seed:int -> Core.Campaign.config
 (** The campaign config a job's cells run under: the server's base
-    config (tool policies, compiled tier) with the job's fault model,
+    config (tool policies) with the job's fault model,
     trials and seed — the same override an offline
     [fi campaign -n T --seed S --model M] applies. *)
 

@@ -38,7 +38,7 @@ type config = {
       (** shard size; [None] = {!Plan.default_chunk} per job *)
   journal : string option;  (** checkpoint path; [None] = no recovery *)
   base : Core.Campaign.config;
-      (** tool policies + compiled tier; each job overrides trials/seed *)
+      (** tool policies; each job overrides trials/seed *)
   idle_timeout : float;  (** close idle job-less connections; [<= 0.] = never *)
   max_buffered : int;
       (** per-connection output backpressure: a peer that stops reading

@@ -100,6 +100,97 @@ type cfunc = {
   cblocks : cblock array;
 }
 
+(* A propagation trace: the fingerprint of every value-producing
+   instruction's result, in execution order.  Comparing a golden trace
+   with a faulty run's trace shows how far a fault spread (LLFI's
+   error-propagation analysis, paper SIII "Customizability and
+   Analysis"). *)
+type trace = {
+  mutable t_gids : int array;
+  mutable t_vals : int array;
+  mutable t_len : int;
+}
+
+(* First-use watch for the corrupted destination.  The frame's slot
+   array is captured by identity so slot numbers in other frames (every
+   call allocates fresh envs) can never match by accident. *)
+type fu_watch =
+  | FU_off
+  | FU_int of int array * int  (* frame env, slot *)
+  | FU_float of float array * int
+
+(* One activation record of the explicit call stack.  Keeping frames as
+   data (instead of OCaml recursion) is what makes the machine
+   snapshotable mid-run: the fast-forward executor copies the frame list
+   and resumes it against a copy-on-write view of memory.
+   [pos] = -1 means the current block's phi prefix has not run yet;
+   [pos] = length of the block body means the terminator is next. *)
+type frame = {
+  func : cfunc;
+  ienv : int array;
+  fenv : float array;
+  mutable fblock : int;  (* current block index *)
+  mutable pred : int;  (* predecessor ordinal, selects phi sources *)
+  mutable pos : int;
+  saved_sp : int;
+  ret_instr : cinstr option;  (* the call awaiting this frame's result *)
+  e_env : Fault_space.builder option array;
+      (* Enumerate mode: live fault-space builder per slot; [||] otherwise *)
+  mutable rj_dig : int;
+      (* rejoin digest of this frame while suspended at a call (its
+         envs are immutable until the callee returns).  Marked
+         [rj_dirty] at the call and computed lazily at the first probe
+         that needs it, so machines that never probe (the rolling
+         golden prefix) pay nothing per call *)
+}
+
+(* Rejoin digest context (see {!Rejoin} and the x86 twin in
+   {!X86_exec}).  Memory writes feed an incremental XOR accumulator of
+   before/after cell fingerprints — which telescopes to a pure function
+   of current memory contents — while the live frame stack is hashed
+   from scratch only at boundaries that need a digest: every landmark
+   block-end on the recording golden run, a landmark at most once per
+   [Rejoin.probe_gap] steps on a trial. *)
+type rej = {
+  mutable rj_acc : int;  (* XOR of store-touched cell fingerprints *)
+  mutable rj_next : int;  (* trial side: step count of the next probe *)
+  rj_journal : Rejoin.t option;  (* trial side: probe for reconvergence *)
+  rj_rec : Rejoin.builder option;  (* record side: journal builder *)
+  rj_seen : Rejoin.seen;  (* trial side: loop detector *)
+}
+
+type state = {
+  mem : Memory.t;
+  out : Buffer.t;
+  inputs : int array;
+  max_steps : int;
+  mutable steps : int;
+  mutable sp : int;
+  mutable depth : int;
+  phase : Fault_space.builder list ref Phase.t;
+      (* what the run is for, with its own state; [Enumerate] collects
+         the fault-space records, newest first *)
+  inj_mask : int;
+  mutable injected : bool;
+  mutable injected_step : int;
+  mutable fault_note : string;
+  mutable fault_bit : int;  (* first drawn bit, -1 if none *)
+  trace : trace option;
+  track_use : bool;  (* classify the corrupted value's first consumer *)
+  mutable fu_watch : fu_watch;
+  mutable first_use : First_use.t;
+  mutable fault_site : int;  (* gid of the injected instruction *)
+  mutable stack : frame list;  (* top frame first *)
+  skip_capture : bool;
+      (* Inject mode under [Skip]: capture the destination before each
+         candidate write so the injection can suppress it.  False in
+         every other run, so the hot path pays one boolean load. *)
+  mutable rej : rej option;  (* rejoin digest context, or None *)
+}
+
+(* A body instruction's executor (see the dispatch table below). *)
+type opfn = state -> int array -> float array -> unit
+
 type compiled = {
   source : Ir.Prog.t;
   cfuncs : cfunc array;
@@ -107,6 +198,7 @@ type compiled = {
   global_addr : (string, int) Hashtbl.t;
   global_image : (int * Ir.Types.t * Ir.Prog.init) list;
   globals_len : int;
+  ops : opfn array;  (* per gid; calls are [exec_frames]'s own *)
 }
 
 (* --- rejoin liveness ---
@@ -259,7 +351,9 @@ let compute_rejoin_liveness (cf : cfunc) =
 
 (* --- compilation --- *)
 
-let compile ?(classify = fun _ _ -> 0) (prog : Ir.Prog.t) =
+(* The compiled program without its dispatch table ([ops] empty);
+   [compile] fills the table once the closures below exist. *)
+let lower ?(classify = fun _ _ -> 0) (prog : Ir.Prog.t) =
   let global_addr, global_image, globals_len =
     Ir.Layout.layout_globals prog ~base:Memory.globals_base
   in
@@ -483,7 +577,8 @@ let compile ?(classify = fun _ _ -> 0) (prog : Ir.Prog.t) =
     | Some i -> i
     | None -> invalid_arg "Ir_exec.compile: program has no main"
   in
-  { source = prog; cfuncs; main_index; global_addr; global_image; globals_len }
+  { source = prog; cfuncs; main_index; global_addr; global_image; globals_len;
+    ops = [||] }
 
 (* --- static injection-site enumeration (coverage tooling) --- *)
 
@@ -553,17 +648,6 @@ type mode =
   | Profile_sites of int array  (* per-gid counts of candidates and phis *)
   | Inject of plan * Fault_model.fault
 
-(* A propagation trace: the fingerprint of every value-producing
-   instruction's result, in execution order.  Comparing a golden trace
-   with a faulty run's trace shows how far a fault spread (LLFI's
-   error-propagation analysis, paper SIII "Customizability and
-   Analysis"). *)
-type trace = {
-  mutable t_gids : int array;
-  mutable t_vals : int array;
-  mutable t_len : int;
-}
-
 let create_trace () =
   { t_gids = Array.make 4096 0; t_vals = Array.make 4096 0; t_len = 0 }
 
@@ -581,83 +665,6 @@ let trace_push tr gid v =
   tr.t_len <- tr.t_len + 1
 
 let float_fingerprint f = Int64.to_int (Int64.bits_of_float f)
-
-(* First-use watch for the corrupted destination.  The frame's slot
-   array is captured by identity so slot numbers in other frames (every
-   call allocates fresh envs) can never match by accident. *)
-type fu_watch =
-  | FU_off
-  | FU_int of int array * int  (* frame env, slot *)
-  | FU_float of float array * int
-
-(* One activation record of the explicit call stack.  Keeping frames as
-   data (instead of OCaml recursion) is what makes the machine
-   snapshotable mid-run: the fast-forward executor copies the frame list
-   and resumes it against a copy-on-write view of memory.
-   [pos] = -1 means the current block's phi prefix has not run yet;
-   [pos] = length of the block body means the terminator is next. *)
-type frame = {
-  func : cfunc;
-  ienv : int array;
-  fenv : float array;
-  mutable fblock : int;  (* current block index *)
-  mutable pred : int;  (* predecessor ordinal, selects phi sources *)
-  mutable pos : int;
-  saved_sp : int;
-  ret_instr : cinstr option;  (* the call awaiting this frame's result *)
-  e_env : Fault_space.builder option array;
-      (* Enumerate mode: live fault-space builder per slot; [||] otherwise *)
-  mutable rj_dig : int;
-      (* rejoin digest of this frame while suspended at a call (its
-         envs are immutable until the callee returns).  Marked
-         [rj_dirty] at the call and computed lazily at the first probe
-         that needs it, so machines that never probe (the rolling
-         golden prefix) pay nothing per call *)
-}
-
-(* Rejoin digest context (see {!Rejoin} and the x86 twin in
-   {!X86_exec}).  Memory writes feed an incremental XOR accumulator of
-   before/after cell fingerprints — which telescopes to a pure function
-   of current memory contents — while the live frame stack is hashed
-   from scratch only at boundaries that need a digest: every landmark
-   block-end on the recording golden run, a landmark at most once per
-   [Rejoin.probe_gap] steps on a trial. *)
-type rej = {
-  mutable rj_acc : int;  (* XOR of store-touched cell fingerprints *)
-  mutable rj_next : int;  (* trial side: step count of the next probe *)
-  rj_journal : Rejoin.t option;  (* trial side: probe for reconvergence *)
-  rj_rec : Rejoin.builder option;  (* record side: journal builder *)
-  rj_seen : Rejoin.seen;  (* trial side: loop detector *)
-}
-
-type state = {
-  mem : Memory.t;
-  out : Buffer.t;
-  inputs : int array;
-  max_steps : int;
-  mutable steps : int;
-  mutable sp : int;
-  mutable depth : int;
-  phase : Fault_space.builder list ref Phase.t;
-      (* what the run is for, with its own state; [Enumerate] collects
-         the fault-space records, newest first *)
-  inj_mask : int;
-  mutable injected : bool;
-  mutable injected_step : int;
-  mutable fault_note : string;
-  mutable fault_bit : int;  (* first drawn bit, -1 if none *)
-  trace : trace option;
-  track_use : bool;  (* classify the corrupted value's first consumer *)
-  mutable fu_watch : fu_watch;
-  mutable first_use : First_use.t;
-  mutable fault_site : int;  (* gid of the injected instruction *)
-  mutable stack : frame list;  (* top frame first *)
-  skip_capture : bool;
-      (* Inject mode under [Skip]: capture the destination before each
-         candidate write so the injection can suppress it.  False in
-         every other run, so the hot path pays one boolean load. *)
-  mutable rej : rej option;  (* rejoin digest context, or None *)
-}
 
 type ret = RVoid | RI of int | RF of float
 
@@ -1345,20 +1352,19 @@ let exec_op st (ci : cinstr) ienv fenv =
       | DFloat slot -> fenv.(slot) <- abs_float (float_arg 0)
       | _ -> ()))
 
-(* --- closure-compiled fast tier ---
+(* --- the dispatch table ---
 
-   A [compiled] program can additionally be translated, once per
-   workload, into per-instruction closures ([opfn]) with operand
-   shapes, widths and destination slots resolved at compile time.  The
-   closures are exact drop-in replacements for [exec_op] — same
-   results, traps, rejoin-digest dance and output, byte for byte (the
-   compile differential tests prove it) — so every execution mode
-   dispatches through them. *)
+   [compile] translates each body instruction, once per program, into
+   a closure ([opfn]) with operand shapes, widths and destination
+   slots resolved at compile time.  The closures are exact drop-in
+   replacements for [exec_op] — same results, traps, rejoin-digest
+   dance and output, byte for byte (the compile differential tests
+   prove it) — and every execution mode dispatches through the table.
+   [reference] swaps every entry for a closure over [exec_op]: the
+   tree-walker the differential tests hold the table against. *)
 
-type opfn = state -> int array -> float array -> unit
-
-(* Placeholder for positions the closure tier never dispatches
-   (calls, handled by [exec_frames] itself) and gids outside any block
+(* Placeholder for positions the table never dispatches (calls,
+   handled by [exec_frames] itself) and gids outside any block
    body. *)
 let op_unreachable : opfn = fun _ _ _ -> assert false
 
@@ -1853,13 +1859,16 @@ let intr_cl (ci : cinstr) intr args (fb : opfn) : opfn =
     | _ -> fb)
   | _ -> fb
 
+(* One body instruction through the tree-walker: the fallback entry. *)
+let walk_op (ci : cinstr) : opfn = fun st i f -> exec_op st ci i f
+
 (* Compile one body instruction to a closure.  Any shape without a
    specialized arm — float [Ibin]s, intrinsics with side effects,
    mismatched destinations (where the interpreter computes, traps, and
-   drops the result) — falls back to [exec_op], so this tier can never
+   drops the result) — falls back to [walk_op], so the table can never
    diverge from the interpreter. *)
 let compile_op (ci : cinstr) : opfn =
-  let fb : opfn = fun st i f -> exec_op st ci i f in
+  let fb = walk_op ci in
   match (ci.op, ci.dest) with
   | ( Ibin
         ((Ir.Instr.Fadd | Ir.Instr.Fsub | Ir.Instr.Fmul | Ir.Instr.Fdiv), _, _, _),
@@ -1887,20 +1896,19 @@ let compile_op (ci : cinstr) : opfn =
   | Call_op _, _ -> fb (* [exec_frames] handles calls; never invoked *)
   | _, _ -> fb
 
-(* --- closure tier --- *)
-
-type fast = { fa_ops : opfn array (* per-gid closures, used in every mode *) }
-
-let compile_fast (c : compiled) =
-  let fa_ops = Array.make (gid_limit c) op_unreachable in
+(* [c] with every body instruction's table entry built by [op]. *)
+let with_ops op (c : compiled) =
+  let ops = Array.make (gid_limit c) op_unreachable in
   Array.iter
     (fun cf ->
       Array.iter
-        (fun b ->
-          Array.iter (fun ci -> fa_ops.(ci.gid) <- compile_op ci) b.body)
+        (fun b -> Array.iter (fun ci -> ops.(ci.gid) <- op ci) b.body)
         cf.cblocks)
     c.cfuncs;
-  { fa_ops }
+  { c with ops }
+
+let compile ?classify prog = with_ops compile_op (lower ?classify prog)
+let reference c = with_ops walk_op c
 
 (* Digest of one frame's live state: function id, control position,
    stack watermark, and the slots in [live] (an encoded set from the
@@ -1990,9 +1998,8 @@ let rejoin_boundary (st : state) rj fr b =
    that contains the first matching instance that would make [matched]
    exceed [ff_stop].  A paused machine can be resumed by calling again
    with a larger [ff_stop]. *)
-let exec_frames ?(fops = [||]) (c : compiled) st =
-  let funcs = c.cfuncs in
-  let use_f = Array.length fops > 0 in
+let exec_frames (c : compiled) st =
+  let funcs = c.cfuncs and ops = c.ops in
   (* The phase facts the loop tests, matched once; [fw] is only read
      when [forward] holds. *)
   let forward, fw =
@@ -2090,8 +2097,7 @@ let exec_frames ?(fops = [||]) (c : compiled) st =
               push_frame st funcs.(fidx') evaluated (Some ci)
             | _ ->
               if st.skip_capture then capture_dest st ci.mask ci.dest ienv fenv;
-              (if use_f then (Array.unsafe_get fops ci.gid) st ienv fenv
-               else exec_op st ci ienv fenv);
+              (Array.unsafe_get ops ci.gid) st ienv fenv;
               if ci.mask <> 0 then
                 post_exec st ci.mask ci.gid ci.dest ienv fenv fr.e_env;
               trace_dest st ci.gid ci.dest ienv fenv;
@@ -2180,11 +2186,9 @@ let m_ff_trials = Obs.Metrics.counter "vm.ir.ff_trials"
 let m_ff_rebuilds = Obs.Metrics.counter "vm.ir.ff_rebuilds"
 let m_checkpoint_depth = Obs.Metrics.histogram "vm.ir.checkpoint_depth"
 
-let fops_of = function Some fa -> fa.fa_ops | None -> [||]
-
-let exec_to_stats ?(fops = [||]) (c : compiled) st =
+let exec_to_stats (c : compiled) st =
   let outcome =
-    match exec_frames ~fops c st with
+    match exec_frames c st with
     | _ -> Outcome.Finished (Buffer.contents st.out)
     | exception Rejoined ->
       (* The golden suffix is already spliced into [st.out] and
@@ -2242,7 +2246,7 @@ let fresh_state ?(inj_mask = 0) ?(track_use = false) ?trace ?rej
   push_frame st c.cfuncs.(c.main_index) [||] None;
   st
 
-let run ?(inputs = [||]) ?(max_steps = 100_000_000) ?trace ?fast mode
+let run ?(inputs = [||]) ?(max_steps = 100_000_000) ?trace mode
     (c : compiled) =
   let st =
     match mode with
@@ -2256,33 +2260,33 @@ let run ?(inputs = [||]) ?(max_steps = 100_000_000) ?trace ?fast mode
         ~max_steps
         (Phase.injecting ~countdown:p.target ~rng:p.rng f)
   in
-  exec_to_stats ~fops:(fops_of fast) c st
+  exec_to_stats c st
 
 (* A whole-program golden run in a bookkeeping phase; [what] names the
    caller in the error raised if the run does not complete. *)
-let run_golden ?fast (c : compiled) st ~what =
-  match exec_frames ~fops:(fops_of fast) c st with
+let run_golden (c : compiled) st ~what =
+  match exec_frames c st with
   | _ -> ()
   | exception Trap.Trap _ | (exception Outcome.Hang_limit)
   | (exception Stack_overflow) ->
     invalid_arg (what ^ ": golden run did not complete")
 
 (* Fault-space pre-pass: one golden Enumerate-phase run over the cell. *)
-let enumerate ?fast (c : compiled) ~inputs ~inj_mask ~max_steps =
+let enumerate (c : compiled) ~inputs ~inj_mask ~max_steps =
   let rev = ref [] in
   let st = fresh_state ~inj_mask c ~inputs ~max_steps (Phase.Enumerate rev) in
-  run_golden ?fast c st ~what:"Ir_exec.enumerate";
+  run_golden c st ~what:"Ir_exec.enumerate";
   Fault_space.finish !rev
 
 (* One digest-maintaining golden run; the resulting journal serves
    every trial of the same (program, inputs), whatever the category. *)
-let record_journal ?fast (c : compiled) ~inputs =
+let record_journal (c : compiled) ~inputs =
   Rejoin.record (fun b ->
       let st =
         fresh_state ~rej:(new_rej ~recorder:b ()) c ~inputs ~max_steps:max_int
           Phase.Plain
       in
-      run_golden ?fast c st ~what:"Ir_exec.record_journal";
+      run_golden c st ~what:"Ir_exec.record_journal";
       (st.steps, Buffer.contents st.out))
 
 (* --- snapshot / fast-forward executor ---
@@ -2299,7 +2303,6 @@ let record_journal ?fast (c : compiled) ~inputs =
 type ff = {
   ff_c : compiled;
   ff_rejoin : Rejoin.t option;
-  ff_fops : opfn array;  (* [||] when the ff runs interpreted *)
   mutable ff_st : state;
   mutable ff_fwd : Phase.fwd;  (* [ff_st]'s Forward payload *)
 }
@@ -2316,9 +2319,9 @@ let roll_state (c : compiled) rejoin ~inputs ~inj_mask =
   in
   (st, fwd)
 
-let ff_create (c : compiled) ?rejoin ?fast ~inputs ~inj_mask () =
+let ff_create (c : compiled) ?rejoin ~inputs ~inj_mask () =
   let st, fwd = roll_state c rejoin ~inputs ~inj_mask in
-  { ff_c = c; ff_rejoin = rejoin; ff_fops = fops_of fast; ff_st = st; ff_fwd = fwd }
+  { ff_c = c; ff_rejoin = rejoin; ff_st = st; ff_fwd = fwd }
 
 let ff_trial ff ~fault ~target ~max_steps ~rng =
   if target < 0 then invalid_arg "Ir_exec.ff_trial: negative target";
@@ -2336,7 +2339,7 @@ let ff_trial ff ~fault ~target ~max_steps ~rng =
   let roll = ff.ff_st in
   ff.ff_fwd.ff_stop <- target;
   let advance () =
-    if exec_frames ~fops:ff.ff_fops ff.ff_c roll then
+    if exec_frames ff.ff_c roll then
       invalid_arg "Ir_exec.ff_trial: target beyond the category's population"
   in
   Phase.traced "ff-advance" ~target advance;
@@ -2366,4 +2369,4 @@ let ff_trial ff ~fault ~target ~max_steps ~rng =
     }
   in
   Phase.traced "trial-run" ~target (fun () ->
-      exec_to_stats ~fops:ff.ff_fops ff.ff_c st)
+      exec_to_stats ff.ff_c st)

@@ -1,7 +1,10 @@
 (** IR-level interpreter with fault-injection hooks.
 
-    A program is {!compile}d once into a dispatch-friendly form and can
-    then be {!run} many times cheaply — once per fault-injection trial.
+    A program is {!compile}d once — lowered, then each instruction
+    translated into a closure with operand shapes, widths and
+    destination slots resolved — and can then be {!run} many times
+    cheaply, once per fault-injection trial.  Every run mode dispatches
+    through that closure table.
 
     Run modes ({!mode}): golden, profiling (count dynamic instances
     per category bitmask — paper step 1), injection (corrupt the
@@ -13,20 +16,32 @@
     function so the injector policy ({!Core.Llfi}) stays outside the VM. *)
 
 type compiled
-(** A compiled program; reusable across runs.
+(** A compiled program with its per-instruction closure table;
+    reusable across runs.
 
     Thread-safety contract: [compiled] is immutable once {!compile}
-    returns, and every {!run} allocates its own run-local machine state
-    (memory image, output buffer, step counters, injection bookkeeping),
-    so concurrent [run]s of the same [compiled] value from multiple
-    domains are safe.  The mutable values a run does touch are the ones
-    passed in — [plan.rng], profile arrays, [trace] — which therefore
-    must not be shared between concurrent runs. *)
+    returns — the closure table included, which is shared by every
+    run and every domain — and every {!run} allocates its own
+    run-local machine state (memory image, output buffer, step
+    counters, injection bookkeeping), so concurrent [run]s of the same
+    [compiled] value from multiple domains are safe.  The mutable
+    values a run does touch are the ones passed in — [plan.rng],
+    profile arrays, [trace] — which therefore must not be shared
+    between concurrent runs. *)
 
 val compile : ?classify:(Ir.Func.t -> Ir.Instr.t -> int) -> Ir.Prog.t -> compiled
-(** [classify] assigns each instruction a category bitmask (0 = not an
+(** Lower the program and build its closure table; O(program size).
+    [classify] assigns each instruction a category bitmask (0 = not an
     injection candidate); defaults to all zeros.
     @raise Invalid_argument if the program has no [main]. *)
+
+val reference : compiled -> compiled
+(** The same program with every table entry a closure over the
+    tree-walking interpreter (the fallback unspecialized shapes already
+    use).  Bit-for-bit identical results — outputs, traps, step counts,
+    injection draws, activation tracking, rejoin digests — which the
+    compile differential tests check.  The test reference, not a
+    product tier. *)
 
 (** {1 Static injection-site enumeration}
 
@@ -77,19 +92,6 @@ type trace = {
 val create_trace : unit -> trace
 val trace_push : trace -> int -> int -> unit
 
-type fast
-(** A [compiled] program translated once more into per-instruction
-    closures (operand shapes, widths and destination slots resolved at
-    compile time), the tier every run mode dispatches through.
-    Execution through a [fast] value is bit-for-bit identical to the
-    tree-walking interpreter — same outputs, traps, step counts,
-    injection draws, activation tracking and rejoin digests — the
-    compile differential tests prove it.  Immutable once built and
-    safe to share across domains like [compiled] itself. *)
-
-val compile_fast : compiled -> fast
-(** One-time translation; O(program size). *)
-
 (** What a {!run} is for: the paper's two phases — a fault-free
     profiling run that counts dynamic instances (Figure 1, step 1),
     then one injection run per trial (step 3) — plus a plain golden
@@ -117,16 +119,13 @@ type mode =
           off. *)
 
 val run :
-  ?inputs:int array -> ?max_steps:int -> ?trace:trace -> ?fast:fast ->
-  mode -> compiled -> Outcome.stats
+  ?inputs:int array -> ?max_steps:int -> ?trace:trace -> mode -> compiled ->
+  Outcome.stats
 (** Execute [main] on a fresh memory image in [mode].
 
     - [inputs]: the vector served by the [input] intrinsic;
     - [max_steps]: hang budget (default 10^8);
-    - [trace]: record a propagation trace into the given buffer;
-    - [fast]: execute through the closure-compiled tier (must have
-      been built from this same [compiled] value); identical results,
-      a fraction of the dispatch cost. *)
+    - [trace]: record a propagation trace into the given buffer. *)
 
 (** {1 Snapshot / fast-forward execution}
 
@@ -144,8 +143,7 @@ val run :
 
 type ff
 
-val record_journal :
-  ?fast:fast -> compiled -> inputs:int array -> Rejoin.t option
+val record_journal : compiled -> inputs:int array -> Rejoin.t option
 (** One digest-maintaining golden run producing a {!Rejoin}
     reconvergence journal for [ff_create ~rejoin]; [None] when it
     would outgrow {!Rejoin.max_recorded_entries}.  The journal serves
@@ -155,7 +153,6 @@ val record_journal :
 val ff_create :
   compiled ->
   ?rejoin:Rejoin.t ->
-  ?fast:fast ->
   inputs:int array ->
   inj_mask:int ->
   unit ->
@@ -187,7 +184,6 @@ val ff_trial :
     fault that an injection with [target = k] produces. *)
 
 val enumerate :
-  ?fast:fast ->
   compiled ->
   inputs:int array ->
   inj_mask:int ->

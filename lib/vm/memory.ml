@@ -218,7 +218,7 @@ let write_f64 t addr v =
   write_u32 t addr (Int64.to_int (Int64.logand bits 0xffff_ffffL));
   write_u32 t (addr + 4) (Int64.to_int (Int64.shift_right_logical bits 32))
 
-(* --- width-specialized accessors for the compiled tier ---
+(* --- width-specialized accessors for the closure tables ---
 
    The byte-composed accessors above pay one (cached) page lookup per
    byte; a compiled-closure step cannot afford eight.  These do one page
@@ -234,7 +234,7 @@ let write_f64 t addr v =
 
 (* The one-entry page cache check is written out inline in each fast
    accessor (rather than through [find_page_read]/[find_page_write])
-   because these are the compiled tier's inner-loop memory operations
+   because these are the closures' inner-loop memory operations
    and the OCaml compiler does not inline across the call.
 
    Trap payloads must also match byte for byte: [read_bytes_le] walks

@@ -19,12 +19,6 @@
 open Support
 open X86
 
-type loaded = {
-  program : Backend.Program.t;
-  masks : int array;  (* per-instruction category bitmask *)
-  landmarks : bool array;  (* per-instruction index, plus one past the end *)
-}
-
 (* Rejoin landmarks (see Rejoin): every function's entry (so every
    [Call] target) and the target of every backward [Jmp]/[Jcc].  Calls
    return just past their call site, so every dynamic cycle either
@@ -47,13 +41,6 @@ let landmarks (p : Backend.Program.t) =
       | _ -> ())
     p.insns;
   l
-
-let load ?(classify = fun _ _ _ -> 0) (program : Backend.Program.t) =
-  {
-    program;
-    masks = Array.mapi (classify program) program.insns;
-    landmarks = landmarks program;
-  }
 
 type policy = { flag_dependent_bits : bool; xmm_low64_only : bool }
 
@@ -125,6 +112,13 @@ type machine = {
       (* Inject mode under [Skip]: capture the destination before the
          targeted instruction so [inject] can suppress its write *)
   mutable rej : rej option;  (* rejoin digest context, if enabled *)
+}
+
+type loaded = {
+  program : Backend.Program.t;
+  masks : int array;  (* per-instruction category bitmask *)
+  landmarks : bool array;  (* per-instruction index, plus one past the end *)
+  exec : (machine -> unit) array;  (* per instruction index *)
 }
 
 let emit m s = Outcome.emit m.out s
@@ -572,8 +566,7 @@ let check_key m rj =
 
 (* --- main loop --- *)
 
-let exec_insn m (loaded : loaded) insn resolved_target =
-  let p = loaded.program in
+let exec_insn m (p : Backend.Program.t) insn resolved_target =
   match insn with
   | Insn.Mov (d, s) -> m.gp.(d) <- src_value m s
   | Insn.Movzx (d, w, s) -> m.gp.(d) <- narrow_read m w s ~signed:false
@@ -718,20 +711,17 @@ let init_memory (p : Backend.Program.t) =
   List.iter (fun (addr, f) -> Memory.write_f64 mem addr f) p.const_image;
   mem
 
-(* ===== compiled execution tier =====
+(* ===== the dispatch table =====
 
-   [compile] translates a loaded program once into per-instruction
-   closures with operand shapes, branch targets, addressing modes and
-   flag computation resolved at compile time.  They replicate
-   [exec_insn] bit for bit — every shape without a hand-specialized
-   translation falls back to a closure over [exec_insn] itself — so
-   [run_machine] dispatches through them in every mode, keeping
-   injection, activation tracking, fast-forward, enumeration and rejoin
-   digests untouched. *)
-
-type fast = {
-  f_exec : (machine -> unit) array;  (* per-insn, [exec_insn]-exact *)
-}
+   [load] translates a program once into per-instruction closures
+   with operand shapes, branch targets, addressing modes and flag
+   computation resolved at load time.  They replicate [exec_insn] bit
+   for bit — every shape without a hand-specialized translation falls
+   back to a closure over [exec_insn] itself — so [run_machine]
+   dispatches through them in every mode, keeping injection,
+   activation tracking, fast-forward, enumeration and rejoin digests
+   untouched.  [reference] swaps every entry for that fallback: the
+   tree-walker the differential tests hold the table against. *)
 
 (* Branch-free full-width flag computation.  Bit-for-bit equal to
    [Flags.of_add]/[of_sub]/[of_logic] at [w = Word.width] (the only
@@ -806,13 +796,17 @@ let addr_fn (mem : Insn.mem) =
   | None, Some (i, s) -> fun m -> (m.gp.(i) * s) + d
   | None, None -> fun _ -> d
 
+(* Instruction [idx] through the tree-walker: the fallback entry. *)
+let walk_exec (p : Backend.Program.t) idx insn =
+  let r = p.resolved.(idx) in
+  fun m -> exec_insn m p insn r
+
 (* One instruction compiled to a closure.  Must mirror [exec_insn]'s
    semantics exactly, including evaluation order around traps (Push
    updates rsp before the write; Pop reads before bumping rsp). *)
-let compile_exec (loaded : loaded) idx (insn : Insn.t) =
-  let p = loaded.program in
+let compile_exec (p : Backend.Program.t) idx (insn : Insn.t) =
   let r = p.resolved.(idx) in
-  let fallback () m = exec_insn m loaded insn r in
+  let fallback () = walk_exec p idx insn in
   match insn with
   | Insn.Mov (d, Insn.Reg s) -> fun m -> m.gp.(d) <- m.gp.(s)
   | Insn.Mov (d, Insn.Imm c) -> fun m -> m.gp.(d) <- c
@@ -1136,9 +1130,16 @@ let compile_exec (loaded : loaded) idx (insn : Insn.t) =
   | Insn.Movzx _ | Insn.Movsx _ | Insn.Idiv _ | Insn.Div _ | Insn.Syscall _ ->
     fallback ()
 
-let compile (loaded : loaded) =
-  let p = loaded.program in
-  { f_exec = Array.mapi (compile_exec loaded) p.insns }
+let load ?(classify = fun _ _ _ -> 0) (program : Backend.Program.t) =
+  {
+    program;
+    masks = Array.mapi (classify program) program.insns;
+    landmarks = landmarks program;
+    exec = Array.mapi (compile_exec program) program.insns;
+  }
+
+let reference (l : loaded) =
+  { l with exec = Array.mapi (walk_exec l.program) l.program.insns }
 
 (* Pre-exec half of the memory delta: stash the write site and hash its
    cells' current contents.  The address must come from the pre-exec
@@ -1204,12 +1205,10 @@ let rejoin_post m landmarks rj pre =
    [matched] exceed [ff_stop] ([rip] still points at it, nothing about
    the pending instruction has executed).  All other exits are
    exceptions: [Halt], [Trap.Trap], [Outcome.Hang_limit]. *)
-let run_machine ?fast (loaded : loaded) m =
-  let cexec = match fast with Some f -> f.f_exec | None -> [||] in
-  let use_c = Array.length cexec > 0 in
+let run_machine (loaded : loaded) m =
   let p = loaded.program in
   let insns = p.insns in
-  let resolved = p.resolved in
+  let exec = loaded.exec in
   let masks = loaded.masks in
   let landmarks = loaded.landmarks in
   let n = Array.length insns in
@@ -1242,8 +1241,7 @@ let run_machine ?fast (loaded : loaded) m =
            capture_dest m inj insn
          | _ -> ());
       m.rip <- idx + 1;
-      if use_c then (Array.unsafe_get cexec idx) m
-      else exec_insn m loaded insn resolved.(idx);
+      (Array.unsafe_get exec idx) m;
       (match m.phase with
       | Phase.Plain -> ()
       | Phase.Enumerate e ->
@@ -1277,10 +1275,10 @@ let m_ff_trials = Obs.Metrics.counter "vm.x86.ff_trials"
 let m_ff_rebuilds = Obs.Metrics.counter "vm.x86.ff_rebuilds"
 let m_checkpoint_depth = Obs.Metrics.histogram "vm.x86.checkpoint_depth"
 
-let finish_machine ?fast (loaded : loaded) m =
+let finish_machine (loaded : loaded) m =
   let outcome =
     try
-      run_machine ?fast loaded m;
+      run_machine loaded m;
       assert false
     with
     | Halt -> Outcome.Finished (Buffer.contents m.out)
@@ -1348,8 +1346,7 @@ let make_machine ?(inj_mask = 0) ?(policy = paper_policy) ?(track_use = false)
   Memory.write_word m.mem m.gp.(Reg.rsp) (Backend.Program.halt_addr p);
   m
 
-let run ?(inputs = [||]) ?(max_steps = 100_000_000) ?fast mode
-    (loaded : loaded) =
+let run ?(inputs = [||]) ?(max_steps = 100_000_000) mode (loaded : loaded) =
   let m =
     match mode with
     | Golden -> make_machine loaded ~inputs ~max_steps Phase.Plain
@@ -1362,30 +1359,30 @@ let run ?(inputs = [||]) ?(max_steps = 100_000_000) ?fast mode
         ~track_use:f.track_use loaded ~inputs ~max_steps
         (Phase.injecting ~countdown:pl.target ~rng:pl.rng f)
   in
-  finish_machine ?fast loaded m
+  finish_machine loaded m
 
 (* A whole-program golden run in a bookkeeping phase; [what] names the
    caller in the error raised if the run does not complete. *)
-let run_golden ?fast (loaded : loaded) m ~what =
-  match run_machine ?fast loaded m with
+let run_golden (loaded : loaded) m ~what =
+  match run_machine loaded m with
   | () -> invalid_arg (what ^ ": machine paused unexpectedly")
   | exception Halt -> ()
   | exception Trap.Trap _ | (exception Outcome.Hang_limit) ->
     invalid_arg (what ^ ": golden run did not complete")
 
 (* Record a rejoin journal from one digest-maintaining golden run. *)
-let record_journal ?fast (loaded : loaded) ~inputs =
+let record_journal (loaded : loaded) ~inputs =
   Rejoin.record (fun b ->
       let m =
         make_machine
           ~rej:(new_rej ~recorder:b (store_table loaded))
           loaded ~inputs ~max_steps:max_int Phase.Plain
       in
-      run_golden ?fast loaded m ~what:"X86_exec.record_journal";
+      run_golden loaded m ~what:"X86_exec.record_journal";
       (m.steps, Buffer.contents m.out))
 
 (* Fault-space pre-pass: one golden Enumerate-phase run over the cell. *)
-let enumerate ?(policy = paper_policy) ?fast ~inputs ~inj_mask ~max_steps
+let enumerate ?(policy = paper_policy) ~inputs ~inj_mask ~max_steps
     (loaded : loaded) =
   let regs () = Array.make 16 None in
   let en = { e_gp = regs (); e_xmm = regs (); e_flags = None; enum_rev = [] } in
@@ -1393,7 +1390,7 @@ let enumerate ?(policy = paper_policy) ?fast ~inputs ~inj_mask ~max_steps
     make_machine ~inj_mask ~policy loaded ~inputs ~max_steps
       (Phase.Enumerate en)
   in
-  run_golden ?fast loaded m ~what:"X86_exec.enumerate";
+  run_golden loaded m ~what:"X86_exec.enumerate";
   Fault_space.finish en.enum_rev
 
 (* --- snapshot / fast-forward executor ---
@@ -1408,7 +1405,6 @@ let enumerate ?(policy = paper_policy) ?fast ~inputs ~inj_mask ~max_steps
 
 type ff = {
   ff_loaded : loaded;
-  ff_fast : fast option;  (* compiled closures for roll + trial dispatch *)
   ff_rejoin : (Rejoin.t * int array) option;
       (* journal + def table; the rolling machine maintains the digest
          so trials can fork with a live accumulator *)
@@ -1428,11 +1424,11 @@ let roll_machine ff_loaded ff_rejoin ~policy ~inputs ~inj_mask =
   in
   (m, fwd)
 
-let ff_create (loaded : loaded) ?(policy = paper_policy) ?rejoin ?fast ~inputs
+let ff_create (loaded : loaded) ?(policy = paper_policy) ?rejoin ~inputs
     ~inj_mask () =
   let ff_rejoin = Option.map (fun j -> (j, store_table loaded)) rejoin in
   let m, fwd = roll_machine loaded ff_rejoin ~policy ~inputs ~inj_mask in
-  { ff_loaded = loaded; ff_fast = fast; ff_rejoin; ff_m = m; ff_fwd = fwd }
+  { ff_loaded = loaded; ff_rejoin; ff_m = m; ff_fwd = fwd }
 
 let ff_trial ff ~fault ~target ~max_steps ~rng =
   if target < 0 then invalid_arg "X86_exec.ff_trial: negative target";
@@ -1451,7 +1447,7 @@ let ff_trial ff ~fault ~target ~max_steps ~rng =
   let roll = ff.ff_m in
   ff.ff_fwd.ff_stop <- target;
   let advance () =
-    match run_machine ?fast:ff.ff_fast ff.ff_loaded roll with
+    match run_machine ff.ff_loaded roll with
     | () -> ()
     | exception Halt ->
       invalid_arg "X86_exec.ff_trial: target beyond the category's population"
@@ -1486,4 +1482,4 @@ let ff_trial ff ~fault ~target ~max_steps ~rng =
     }
   in
   Phase.traced "trial-run" ~target (fun () ->
-      finish_machine ?fast:ff.ff_fast ff.ff_loaded m)
+      finish_machine ff.ff_loaded m)

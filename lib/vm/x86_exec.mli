@@ -2,19 +2,26 @@
 
     Mirrors {!Ir_exec} one level down: a program assembled by the
     backend is {!load}ed (each instruction classified into injection
-    categories, as PIN tools do at instrumentation time) and can then be
-    executed many times.  Injection corrupts the destination register of
-    a chosen dynamic instance; the paper's two PINFI activation
-    heuristics (Figure 2) are {!policy} switches.  Activation is tracked
-    architecturally: the corrupted register must be read before being
-    overwritten. *)
+    categories, as PIN tools do at instrumentation time, and translated
+    into the closure every run dispatches through) and can then be
+    executed many times; {!reference} swaps the closures for the
+    tree-walking interpreter the tests compare against.  Injection
+    corrupts the destination register of a chosen dynamic instance;
+    the paper's two PINFI activation heuristics (Figure 2) are
+    {!policy} switches.  Activation is tracked architecturally: the
+    corrupted register must be read before being overwritten. *)
+
+type machine
+(** One run's machine state; internal. *)
 
 (** Thread-safety contract: as {!Ir_exec.compiled} — [loaded] is
-    immutable once {!load} returns ([masks] and [landmarks] are written
-    only at load time) and each {!run} builds a fresh machine record, so concurrent
-    runs of one [loaded] program are safe provided the [plan.rng] and
-    profile arrays passed in each run's mode are not shared. *)
-type loaded = {
+    immutable once {!load} returns ([masks], [landmarks] and the
+    [exec] table are built only at load time and shared by every run
+    and every domain) and each {!run} builds a fresh machine record,
+    so concurrent runs of one [loaded] program are safe provided the
+    [plan.rng] and profile arrays passed in each run's mode are not
+    shared. *)
+type loaded = private {
   program : Backend.Program.t;
   masks : int array;  (** per-instruction category bitmask *)
   landmarks : bool array;
@@ -23,11 +30,22 @@ type loaded = {
           [Call] target) and every backward [Jmp]/[Jcc] target.
           Journals record, and trials probe, only at boundaries where
           [rip] is one. *)
+  exec : (machine -> unit) array;
+      (** per instruction index, the closure every run dispatches
+          through: operand shapes, addressing modes, branch targets
+          and flag algebra resolved at load time, the tree-walker for
+          shapes without a specialization *)
 }
 
 val load :
   ?classify:(Backend.Program.t -> int -> X86.Insn.t -> int) ->
   Backend.Program.t -> loaded
+(** Classify and translate the program; O(program size). *)
+
+val reference : loaded -> loaded
+(** As {!Ir_exec.reference}: every [exec] entry a closure over the
+    tree-walking interpreter; the test reference, not a product
+    tier. *)
 
 type policy = {
   flag_dependent_bits : bool;
@@ -60,19 +78,6 @@ val site_width : policy -> Backend.Program.t -> int -> int
     use: [Word.width] for a GP register, 64 or 128 for XMM, the
     candidate flag bits for a compare; 0 without a destination. *)
 
-type fast
-(** A [loaded] program compiled once into per-instruction closures
-    (operand shapes, addressing modes, branch targets and flag algebra
-    resolved at compile time), the tier every run mode dispatches
-    through.  Execution through a [fast] value is bit-for-bit identical
-    to the tree-walking interpreter — same outputs, traps, step counts,
-    injection draws, activation tracking and rejoin digests — the
-    compile differential tests prove it.  Immutable once built, and
-    safe to share across domains like [loaded] itself. *)
-
-val compile : loaded -> fast
-(** One-time translation; O(program size). *)
-
 (** What a {!run} is for: the paper's two phases plus a plain golden
     run.  One mode per run, so no combination needs rejecting. *)
 type mode =
@@ -96,10 +101,9 @@ type mode =
           rsp-rbp-relative), or data — into [stats.first_use]. *)
 
 val run :
-  ?inputs:int array -> ?max_steps:int -> ?fast:fast -> mode -> loaded ->
-  Outcome.stats
+  ?inputs:int array -> ?max_steps:int -> mode -> loaded -> Outcome.stats
 (** Execute from the program entry on a fresh memory image;
-    [inputs], [max_steps] and [fast] as {!Ir_exec.run}. *)
+    [inputs] and [max_steps] as {!Ir_exec.run}. *)
 
 (** {1 Snapshot / fast-forward execution}
 
@@ -112,8 +116,7 @@ val run :
 
 type ff
 
-val record_journal :
-  ?fast:fast -> loaded -> inputs:int array -> Rejoin.t option
+val record_journal : loaded -> inputs:int array -> Rejoin.t option
 (** One digest-maintaining golden run producing a {!Rejoin}
     reconvergence journal for [ff_create ~rejoin]; [None] when it
     would outgrow {!Rejoin.max_recorded_entries}.
@@ -123,7 +126,6 @@ val ff_create :
   loaded ->
   ?policy:policy ->
   ?rejoin:Rejoin.t ->
-  ?fast:fast ->
   inputs:int array ->
   inj_mask:int ->
   unit ->
@@ -151,7 +153,6 @@ val ff_trial :
 
 val enumerate :
   ?policy:policy ->
-  ?fast:fast ->
   inputs:int array ->
   inj_mask:int ->
   max_steps:int ->

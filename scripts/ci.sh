@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI entry point: build, full test suite, the perf-gate self-test, then
-# determinism smoke tests of the parallel engine, the compiled tier,
+# determinism smoke tests of the parallel engine, the fault models,
 # the resume journal, and a bounded differential-fuzzing pass
 # (FUZZ_BUDGET programs, default 200, fixed seeds) with a planted-bug
 # detection check.
@@ -14,10 +14,9 @@
 # --jobs 1 and 4, and trace/manifest artifacts from the jobs=4 run.
 # This is the engine's core guarantee (README "Determinism guarantee")
 # exercised end-to-end through the installed CLI, records included.
-# --no-compile must change no byte of any output (compiled tier vs the
-# tree-walking interpreters, CSV and manifest digests compared at
-# --jobs 1 and 4); the snapshot executor is held to direct from-entry
-# trials by test_core and test_compile.  Finally a journaled
+# The closure tables are held to the tree-walking reference, and the
+# snapshot executor to direct from-entry trials, by test_core and
+# test_compile.  Finally a journaled
 # campaign is interrupted twice and resumed each time: once with the
 # journal cut between records, once with it cut inside a record (the
 # torn line must be dropped and the next append must not glue onto
@@ -129,53 +128,6 @@ awk -v a="$w4" -v b="$w1" 'BEGIN { exit !(a <= b * 1.2) }' || {
 
 echo "OK: jobs scaling byte-identical and --jobs 4 within bounds"
 
-echo "== determinism smoke: compiled tier vs --no-compile, --jobs 1 and 4 =="
-# The closure-compiled execution tier must change no byte of any
-# output: same campaign, compiled (default) vs --no-compile, at one
-# and four worker domains.  CSVs are compared directly; the run
-# manifests must agree on the campaign CSV digest.
-compile_smoke() {
-    tag=$1
-    shift
-    dune exec --no-build bin/fi.exe -- campaign mcf \
-        -n 40 --seed 17 \
-        --csv "$tmp/compile-$tag.csv" \
-        --manifest "$tmp/compile-$tag-manifest.json" "$@" > /dev/null
-}
-compile_smoke on-j1 --jobs 1
-compile_smoke off-j1 --jobs 1 --no-compile
-compile_smoke on-j4 --jobs 4
-compile_smoke off-j4 --jobs 4 --no-compile
-
-cmp "$tmp/compile-on-j1.csv" "$tmp/compile-off-j1.csv" || {
-    echo "FAIL: campaign CSV differs between compiled tier and --no-compile" >&2
-    exit 1
-}
-cmp "$tmp/compile-on-j1.csv" "$tmp/compile-on-j4.csv" || {
-    echo "FAIL: compiled-tier CSV differs between --jobs 1 and --jobs 4" >&2
-    exit 1
-}
-cmp "$tmp/compile-off-j1.csv" "$tmp/compile-off-j4.csv" || {
-    echo "FAIL: --no-compile CSV differs between --jobs 1 and --jobs 4" >&2
-    exit 1
-}
-
-manifest_csv_digest() {
-    sed -n 's/.*"digests":{[^}]*"csv":"\([0-9a-f]*\)".*/\1/p' "$1"
-}
-don=$(manifest_csv_digest "$tmp/compile-on-j1-manifest.json")
-doff=$(manifest_csv_digest "$tmp/compile-off-j4-manifest.json")
-[ -n "$don" ] || {
-    echo "FAIL: compiled-tier manifest has no csv digest" >&2
-    exit 1
-}
-[ "$don" = "$doff" ] || {
-    echo "FAIL: manifest CSV digest differs between compiled tier and --no-compile" >&2
-    exit 1
-}
-
-echo "OK: compiled tier output byte-identical to the interpreters"
-
 echo "== fault-model smoke: per-model campaigns, --jobs 1 vs --jobs 4 =="
 # One tiny campaign per non-default fault model: the determinism
 # guarantee must hold on every point of the model axis, so each CSV is
@@ -201,26 +153,6 @@ for model in multi_bit:2 stuck_at_0 stuck_at_1 skip load_value; do
 done
 
 echo "OK: per-model CSVs byte-identical across --jobs values"
-
-echo "== fault-model smoke: compiled tier vs --no-compile per model =="
-# The closure-compiled tier must implement every corruption semantics
-# bit-for-bit like the interpreters; stuck_at_1 and skip are the two
-# models whose mechanics differ most from a bitflip (forced-set vs
-# suppressed destination write).
-for model in stuck_at_1 skip; do
-    dune exec --no-build bin/fi.exe -- campaign mcf \
-        --model "$model" -n 40 --seed 19 --no-manifest \
-        --csv "$tmp/model-$model-compiled.csv" > /dev/null
-    dune exec --no-build bin/fi.exe -- campaign mcf \
-        --model "$model" -n 40 --seed 19 --no-manifest --no-compile \
-        --csv "$tmp/model-$model-interp.csv" > /dev/null
-    cmp "$tmp/model-$model-compiled.csv" "$tmp/model-$model-interp.csv" || {
-        echo "FAIL: $model CSV differs between compiled tier and --no-compile" >&2
-        exit 1
-    }
-done
-
-echo "OK: compiled tier byte-identical to the interpreters on every model"
 
 echo "== resume smoke: interrupted journal, then --resume =="
 camp() {

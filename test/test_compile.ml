@@ -1,14 +1,17 @@
-(* Differential tests for the closure-compiled execution tier.
+(* Differential tests for the closure tables.
 
-   The tier's contract (Vm.Ir_exec.fast / Vm.X86_exec.fast) is
-   bit-for-bit identity with the tree-walking interpreters: same output
-   bytes, same trap tags, same step counts, same injection bookkeeping,
-   same first-use classification, same fault-space enumeration — under
-   every run mode, for every workload.  These tests hold the two
-   engines against each other at increasing granularity: golden runs,
-   per-site profiles, propagation traces, individual injected trials,
-   whole campaign CSVs, and the snapshot x rejoin x compile
-   interplay. *)
+   Every program runs through its per-instruction closure table
+   (Vm.Ir_exec.compile / Vm.X86_exec.load); Vm.Ir_exec.reference /
+   Vm.X86_exec.reference swap each entry for a closure over the
+   tree-walking interpreter, and [~compile:false] selects that
+   reference.  The contract is bit-for-bit identity between the two
+   tables: same output bytes, same trap tags, same step counts, same
+   injection bookkeeping, same first-use classification, same
+   fault-space enumeration — under every run mode, for every workload
+   and fault model.  These tests hold the two against each other at
+   increasing granularity: golden runs, per-site profiles, propagation
+   traces, individual injected trials, whole campaign CSVs, and the
+   snapshot x rejoin x compile interplay. *)
 
 let tools = [ Core.Campaign.Llfi_tool; Core.Campaign.Pinfi_tool ]
 
@@ -28,7 +31,7 @@ let stats_key (s : Vm.Outcome.stats) =
     s.Vm.Outcome.fault_note s.Vm.Outcome.injected_step s.Vm.Outcome.fault_site
     (Vm.First_use.name s.Vm.Outcome.first_use)
 
-(* Two preparations of the same workload, one per engine.  [compile] is
+(* Two preparations of the same workload, one per table.  [compile] is
    the only difference, so every observable below must coincide. *)
 let prepare_both (w : Core.Workload.t) =
   let prog = Opt.optimize (Minic.compile w.Core.Workload.source) in
@@ -104,34 +107,28 @@ let test_golden_identity () =
         (w.name ^ ": pinfi golden steps = plain run")
         pp.Vm.Outcome.steps pc.Core.Pinfi.golden_steps;
       (* the per-site profiles the coverage report rests on *)
-      let sites fast =
-        let counts = Array.make (Vm.Ir_exec.gid_limit lc.Core.Llfi.compiled) 0 in
-        ignore
-          (Vm.Ir_exec.run ~inputs:lc.Core.Llfi.inputs ?fast
-             (Profile_sites counts) lc.Core.Llfi.compiled);
+      let sites (l : Core.Llfi.t) =
+        let counts = Array.make (Vm.Ir_exec.gid_limit l.compiled) 0 in
+        ignore (Vm.Ir_exec.run ~inputs:l.inputs (Profile_sites counts) l.compiled);
         counts
       in
       Alcotest.(check (array int))
         (w.name ^ ": llfi per-site profile")
-        (sites None) (sites lc.Core.Llfi.fast);
-      let index fast =
-        let loaded = pc.Core.Pinfi.loaded in
-        let counts = Array.make (Array.length loaded.Vm.X86_exec.masks) 0 in
-        ignore
-          (Vm.X86_exec.run ~inputs:pc.Core.Pinfi.inputs ?fast
-             (Profile_index counts) loaded);
+        (sites li) (sites lc);
+      let index (p : Core.Pinfi.t) =
+        let counts = Array.make (Array.length p.loaded.masks) 0 in
+        ignore (Vm.X86_exec.run ~inputs:p.inputs (Profile_index counts) p.loaded);
         counts
       in
       Alcotest.(check (array int))
         (w.name ^ ": pinfi per-instruction profile")
-        (index None) (index pc.Core.Pinfi.fast);
+        (index pi) (index pc);
       (* propagation's traced golden and injected runs *)
-      let traced mode fast =
+      let traced mode (l : Core.Llfi.t) =
         let tr = Vm.Ir_exec.create_trace () in
         let st =
-          Vm.Ir_exec.run ~inputs:lc.Core.Llfi.inputs
-            ~max_steps:lc.Core.Llfi.max_steps ~trace:tr ?fast (mode ())
-            lc.Core.Llfi.compiled
+          Vm.Ir_exec.run ~inputs:l.inputs ~max_steps:l.max_steps ~trace:tr
+            (mode ()) l.compiled
         in
         ( stats_key st,
           Array.sub tr.Vm.Ir_exec.t_gids 0 tr.Vm.Ir_exec.t_len,
@@ -152,7 +149,7 @@ let test_golden_identity () =
           Alcotest.(check bool)
             (Printf.sprintf "%s: traced %s run" w.name what)
             true
-            (traced mode None = traced mode lc.Core.Llfi.fast))
+            (traced mode li = traced mode lc))
         [ ("golden", fun () -> Vm.Ir_exec.Golden); ("injected", inject) ])
     Workloads.all;
   (* one VM execution per prepare: each run observes [run_steps] once *)
@@ -239,29 +236,38 @@ let test_enumerate_identity () =
         true (pa = pb))
     Core.Category.all
 
-(* --- whole campaigns: compiled CSV byte-equal to interpreted --- *)
+(* --- whole campaigns: compiled CSV byte-equal to the reference ---
+
+   Every workload under the default model, plus mcf under the two
+   models whose mechanics differ most from a bitflip: stuck_at_1
+   (forced-set) and skip (suppressed destination write). *)
 
 let test_campaign_csv_identity () =
-  let cfg_c = { Core.Campaign.default_config with trials = 20 } in
-  let cfg_i = { cfg_c with compile = false } in
+  let default = { Core.Campaign.default_config with trials = 20 } in
+  let model m = { default with trials = 40; seed = 19; model = m } in
+  let mcf = Workloads.find_exn "mcf" in
   List.iter
-    (fun (w : Core.Workload.t) ->
+    (fun ((cfg_c : Core.Campaign.config), (w : Core.Workload.t)) ->
       let _, cells_c = Core.Campaign.run_workload cfg_c w in
-      let _, cells_i = Core.Campaign.run_workload cfg_i w in
+      let _, cells_i =
+        Core.Campaign.run_workload { cfg_c with compile = false } w
+      in
       Alcotest.(check string)
-        (w.name ^ ": campaign CSV identical across engines")
+        (Printf.sprintf "%s %s: campaign CSV identical to the reference"
+           w.name (Core.Fault_model.name cfg_c.model))
         (Core.Campaign.to_csv cells_i)
         (Core.Campaign.to_csv cells_c))
-    Workloads.all
+    (List.map (fun w -> (default, w)) Workloads.all
+    @ [ (model Core.Fault_model.Stuck_at_1, mcf); (model Core.Fault_model.Skip, mcf) ])
 
 (* --- snapshot x rejoin x compile interplay ---
 
-   Campaign cells through the fast-forward machine, interpreted and
-   compiled, plus the rejoin-journal path, must tally identically to
-   direct from-entry trials: the fast tier serves the ff machine's
-   forward advance, the trial remainder, and the digest-maintaining
-   journal recording, so each combination crosses a different set of
-   engine code paths. *)
+   Campaign cells through the fast-forward machine, on the reference
+   and on the compiled table, plus the rejoin-journal path, must tally
+   identically to direct from-entry trials: the table serves the ff
+   machine's forward advance, the trial remainder, and the
+   digest-maintaining journal recording, so each combination crosses a
+   different set of engine code paths. *)
 
 let test_snapshot_rejoin_interplay () =
   let w = Workloads.find_exn "libquantum" in
@@ -283,7 +289,7 @@ let test_snapshot_rejoin_interplay () =
         (Printf.sprintf "compile=%b equals reference" compile)
         reference csv)
     [ false; true ];
-  (* rejoin journals recorded and consumed through each engine *)
+  (* rejoin journals recorded and consumed through each table *)
   let run_rejoin compile =
     let config = cfg compile in
     let p = Core.Campaign.prepare config w in
@@ -292,7 +298,7 @@ let test_snapshot_rejoin_interplay () =
         let r = Core.Campaign.runner ~rejoin p tool cat in
         Core.Campaign.run_cell ~runner:r config p tool cat)
   in
-  Alcotest.(check string) "rejoin: interpreted equals reference" reference
+  Alcotest.(check string) "rejoin: walker table equals reference" reference
     (run_rejoin false);
   Alcotest.(check string) "rejoin: compiled equals reference" reference
     (run_rejoin true)
