@@ -186,6 +186,9 @@ type state = {
          candidate write so the injection can suppress it.  False in
          every other run, so the hot path pays one boolean load. *)
   mutable rej : rej option;  (* rejoin digest context, or None *)
+  mutable post_fault : bool;
+      (* latched by [post_fault]: block bodies run on the post-fault
+         loop *)
 }
 
 (* A body instruction's executor (see the dispatch table below). *)
@@ -1140,6 +1143,16 @@ let push_frame st (f : cfunc) (args : ret array) ret_instr =
     }
     :: st.stack
 
+(* A call instruction: the caller frame suspends at [pos], just past
+   it, and the callee's frame is pushed.  The caller's envs are now
+   immutable until the callee returns; its digest is computed lazily in
+   [check_key], so probe-free machines never pay for it. *)
+let enter_call st funcs fr ci fidx args ~pos =
+  let evaluated = Array.map (eval_arg fr.ienv fr.fenv) args in
+  fr.pos <- pos;
+  fr.rj_dig <- rj_dirty;
+  push_frame st funcs.(fidx) evaluated (Some ci)
+
 let copy_frame fr =
   { fr with ienv = Array.copy fr.ienv; fenv = Array.copy fr.fenv }
 
@@ -1985,12 +1998,35 @@ let rejoin_boundary (st : state) rj fr b =
       end
     | _ -> ())
 
+(* Whether the next block body may run on [exec_frames]' post-fault
+   loop: the fault is in, no first-use watch is open and no
+   propagation trace is recorded.  From then on [post_exec] would only
+   decrement a spent countdown, [capture_dest] never matches again and
+   no enumerate scan runs (an injected machine is not enumerating), so
+   the body's only duties are counting steps and dispatching.  Nothing
+   reopens a watch after the injection, so the answer is latched. *)
+let post_fault st =
+  st.post_fault
+  || st.injected
+     && (match st.fu_watch with FU_off -> true | _ -> false)
+     && (match st.trace with None -> true | Some _ -> false)
+     && begin
+       st.post_fault <- true;
+       true
+     end
+
 (* The dispatch loop over the explicit frame stack.  Instruction order,
    step counting, hang checks, [post_exec] and trace points are
    identical to the recursive interpreter this replaces; a call
    instruction's own instance (post_exec/trace on its destination)
    fires when its frame pops, i.e. after the callee returned — exactly
    where the recursive version ran it.
+
+   An injected trial hands off at the first block-body entry where
+   [post_fault] holds: from there each body runs on a second inner
+   loop that only bumps [steps] and dispatches (calls still push their
+   frame).  Phi prefixes, terminators, hang checks and
+   [rejoin_boundary] keep one code path and run once per block.
 
    Returns [true] when the program ran to completion (stack empty) and
    [false] when a Forward-mode machine paused: paused just before the
@@ -2068,42 +2104,52 @@ let exec_frames (c : compiled) st =
         let n = Array.length body in
         let k = ref fr.pos in
         let dispatch = ref true in
-        while !dispatch && !k < n do
-          let ci = body.(!k) in
-          let is_call = match ci.op with Call_op _ -> true | _ -> false in
-          if
-            forward && (not is_call)
-            && ci.mask land st.inj_mask <> 0
-            && fw.matched >= fw.ff_stop
-          then begin
-            (* Pause before the instance that would overrun the stop. *)
-            fr.pos <- !k;
-            dispatch := false;
-            running := false
-          end
-          else begin
+        if post_fault st then
+          (* The post-fault body loop: count and dispatch, nothing
+             else (see [post_fault]). *)
+          while !dispatch && !k < n do
+            let ci = Array.unsafe_get body !k in
             st.steps <- st.steps + 1;
-            fu_scan_instr st ci ienv fenv;
-            if enum then enum_scan_instr ci fr.e_env ienv fenv;
             match ci.op with
             | Call_op (fidx', args) ->
-              let evaluated = Array.map (eval_arg ienv fenv) args in
-              fr.pos <- !k + 1;
-              (* Envs now immutable until the callee returns; the
-                 digest itself is computed lazily in [check_key], so
-                 probe-free machines never pay for it. *)
-              fr.rj_dig <- rj_dirty;
               dispatch := false;
-              push_frame st funcs.(fidx') evaluated (Some ci)
+              enter_call st funcs fr ci fidx' args ~pos:(!k + 1)
             | _ ->
-              if st.skip_capture then capture_dest st ci.mask ci.dest ienv fenv;
               (Array.unsafe_get ops ci.gid) st ienv fenv;
-              if ci.mask <> 0 then
-                post_exec st ci.mask ci.gid ci.dest ienv fenv fr.e_env;
-              trace_dest st ci.gid ci.dest ienv fenv;
               incr k
-          end
-        done;
+          done
+        else
+          while !dispatch && !k < n do
+            let ci = body.(!k) in
+            let is_call = match ci.op with Call_op _ -> true | _ -> false in
+            if
+              forward && (not is_call)
+              && ci.mask land st.inj_mask <> 0
+              && fw.matched >= fw.ff_stop
+            then begin
+              (* Pause before the instance that would overrun the stop. *)
+              fr.pos <- !k;
+              dispatch := false;
+              running := false
+            end
+            else begin
+              st.steps <- st.steps + 1;
+              fu_scan_instr st ci ienv fenv;
+              if enum then enum_scan_instr ci fr.e_env ienv fenv;
+              match ci.op with
+              | Call_op (fidx', args) ->
+                dispatch := false;
+                enter_call st funcs fr ci fidx' args ~pos:(!k + 1)
+              | _ ->
+                if st.skip_capture then
+                  capture_dest st ci.mask ci.dest ienv fenv;
+                (Array.unsafe_get ops ci.gid) st ienv fenv;
+                if ci.mask <> 0 then
+                  post_exec st ci.mask ci.gid ci.dest ienv fenv fr.e_env;
+                trace_dest st ci.gid ci.dest ienv fenv;
+                incr k
+            end
+          done;
         if !dispatch then begin
           fr.pos <- n;
           (match st.rej with
@@ -2185,6 +2231,7 @@ let m_run_steps = Obs.Metrics.histogram "vm.ir.run_steps"
 let m_ff_trials = Obs.Metrics.counter "vm.ir.ff_trials"
 let m_ff_rebuilds = Obs.Metrics.counter "vm.ir.ff_rebuilds"
 let m_checkpoint_depth = Obs.Metrics.histogram "vm.ir.checkpoint_depth"
+let m_suffix_trials = Obs.Metrics.counter "vm.ir.suffix_trials"
 
 let exec_to_stats (c : compiled) st =
   let outcome =
@@ -2199,6 +2246,7 @@ let exec_to_stats (c : compiled) st =
     | exception Stack_overflow -> Outcome.Crashed Trap.Stack_overflow
   in
   Obs.Metrics.observe m_run_steps st.steps;
+  if st.post_fault then Obs.Metrics.incr m_suffix_trials;
   {
     Outcome.outcome;
     steps = st.steps;
@@ -2241,6 +2289,7 @@ let fresh_state ?(inj_mask = 0) ?(track_use = false) ?trace ?rej
       stack = [];
       skip_capture = Phase.skip_capture phase;
       rej;
+      post_fault = false;
     }
   in
   push_frame st c.cfuncs.(c.main_index) [||] None;

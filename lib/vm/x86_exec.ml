@@ -1168,43 +1168,83 @@ let rejoin_pre m insn rj idx =
   end
 
 (* Post-exec half: rehash the written cells, fold the delta into the
-   accumulator, then record (golden side) or probe (trial side) if the
-   next instruction is a landmark.  The landmark test sits inside those
-   two branches, so the fault-free rolling machine (neither side) pays
-   nothing for it.  Runs after the mode dispatch; the injected register
-   flip needs no tracking because registers are hashed whole at each
-   boundary. *)
+   accumulator, then, on a recording golden run, record the digest if
+   the next instruction is a landmark.  Runs after the mode dispatch;
+   the injected register flip needs no tracking because registers are
+   hashed whole at each boundary.  Trials probe only in [run_suffix]:
+   a trial probes once its fault is in and its watch has settled,
+   which is exactly when it is handed off. *)
 let rejoin_post m landmarks rj pre =
   if rj.rj_waddr >= 0 then
     rj.rj_acc <-
       rj.rj_acc lxor pre lxor cells_fp m rj.rj_waddr rj.rj_wbytes;
   match rj.rj_rec with
-  | Some b ->
-    if landmarks.(m.rip) then
-      Rejoin.add b ~digest:(check_key m rj) ~steps:m.steps
-        ~outlen:(Buffer.length m.out)
-  | None -> (
-    match rj.rj_journal with
-    | Some j
-      when m.injected && m.steps >= rj.rj_next && landmarks.(m.rip)
-           && m.watch = No_watch ->
-      rj.rj_next <- m.steps + Rejoin.probe_gap;
-      let steps =
-        Rejoin.probe j rj.rj_seen ~key:(check_key m rj) ~steps:m.steps
-          ~max_steps:m.max_steps m.out
-      in
-      if steps >= 0 then begin
-        m.steps <- steps;
-        if steps > m.max_steps then raise Outcome.Hang_limit;
-        raise Halt
-      end
-    | _ -> ())
+  | Some b when landmarks.(m.rip) ->
+    Rejoin.add b ~digest:(check_key m rj) ~steps:m.steps
+      ~outlen:(Buffer.length m.out)
+  | _ -> ()
 
-(* The fetch-execute loop.  Returns normally only when a Forward-phase
-   machine pauses: just before the matching instruction that would make
-   [matched] exceed [ff_stop] ([rip] still points at it, nothing about
-   the pending instruction has executed).  All other exits are
-   exceptions: [Halt], [Trap.Trap], [Outcome.Hang_limit]. *)
+(* A trial's landmark probe: splice the golden suffix and end the run
+   on a match, else schedule the next probe. *)
+let rejoin_probe m rj j =
+  rj.rj_next <- m.steps + Rejoin.probe_gap;
+  let steps =
+    Rejoin.probe j rj.rj_seen ~key:(check_key m rj) ~steps:m.steps
+      ~max_steps:m.max_steps m.out
+  in
+  if steps >= 0 then begin
+    m.steps <- steps;
+    if steps > m.max_steps then raise Outcome.Hang_limit;
+    raise Halt
+  end
+
+(* The post-fault loop of an injected trial whose fault is in and whose
+   activation watch has settled.  Per step it keeps only the [rip]
+   bounds check, step counting, the hang limit and the closure
+   dispatch, plus, when the trial carries a journal, the rejoin
+   accumulator and the landmark probe (at most once per
+   [Rejoin.probe_gap] steps, before the instruction at [rip]).  Never
+   returns normally: the exits are [Halt], [Trap.Trap] and
+   [Outcome.Hang_limit]. *)
+let run_suffix (loaded : loaded) m =
+  let p = loaded.program in
+  let insns = p.insns in
+  let exec = loaded.exec in
+  let landmarks = loaded.landmarks in
+  let n = Array.length insns in
+  while true do
+    let idx = m.rip in
+    (match m.rej with
+    | Some ({ rj_journal = Some j; _ } as rj)
+      when m.steps >= rj.rj_next && landmarks.(idx) ->
+      rejoin_probe m rj j
+    | _ -> ());
+    if idx < 0 || idx >= n then
+      Trap.raise_trap (Trap.Invalid_jump (Backend.Program.addr_of_index p idx));
+    m.steps <- m.steps + 1;
+    if m.steps > m.max_steps then raise Outcome.Hang_limit;
+    match m.rej with
+    | None ->
+      m.rip <- idx + 1;
+      (Array.unsafe_get exec idx) m
+    | Some rj ->
+      let pre = rejoin_pre m (Array.unsafe_get insns idx) rj idx in
+      m.rip <- idx + 1;
+      (Array.unsafe_get exec idx) m;
+      rejoin_post m landmarks rj pre
+  done
+
+(* The fetch-execute loop.  Returns normally in two cases:
+   - a Forward-phase machine pauses just before the matching
+     instruction that would make [matched] exceed [ff_stop] ([rip]
+     still points at it, nothing about the pending instruction has
+     executed);
+   - an Inject-phase machine is ready for [run_suffix]: the fault is in
+     and its activation watch has settled, so the forward pause,
+     enumerate, capture, phase and countdown work is over.
+     [finish_machine] makes that hand-off.
+   All other exits are exceptions: [Halt], [Trap.Trap],
+   [Outcome.Hang_limit]. *)
 let run_machine (loaded : loaded) m =
   let p = loaded.program in
   let insns = p.insns in
@@ -1215,8 +1255,8 @@ let run_machine (loaded : loaded) m =
   (* The phase payloads the pre-exec checks read, matched once. *)
   let fw = match m.phase with Phase.Forward f -> Some f | _ -> None in
   let en = match m.phase with Phase.Enumerate e -> Some e | _ -> None in
-  let paused = ref false in
-  while not !paused do
+  let running = ref true in
+  while !running do
     let idx = m.rip in
     if idx < 0 || idx >= n then
       Trap.raise_trap (Trap.Invalid_jump (Backend.Program.addr_of_index p idx));
@@ -1224,7 +1264,7 @@ let run_machine (loaded : loaded) m =
       match fw with
       | Some f -> masks.(idx) land m.inj_mask <> 0 && f.matched >= f.ff_stop
       | None -> false
-    then paused := true
+    then running := false
     else begin
       let insn = insns.(idx) in
       m.steps <- m.steps + 1;
@@ -1260,7 +1300,8 @@ let run_machine (loaded : loaded) m =
             inject m inj loaded idx insn
           end;
           inj.countdown <- inj.countdown - 1
-        end);
+        end;
+        if m.injected && m.watch = No_watch then running := false);
       match m.rej with
       | None -> ()
       | Some rj -> rejoin_post m landmarks rj pre
@@ -1274,11 +1315,15 @@ let m_run_steps = Obs.Metrics.histogram "vm.x86.run_steps"
 let m_ff_trials = Obs.Metrics.counter "vm.x86.ff_trials"
 let m_ff_rebuilds = Obs.Metrics.counter "vm.x86.ff_rebuilds"
 let m_checkpoint_depth = Obs.Metrics.histogram "vm.x86.checkpoint_depth"
+let m_suffix_trials = Obs.Metrics.counter "vm.x86.suffix_trials"
 
 let finish_machine (loaded : loaded) m =
   let outcome =
     try
+      (* Only an Inject-phase machine returns here: hand it off. *)
       run_machine loaded m;
+      Obs.Metrics.incr m_suffix_trials;
+      run_suffix loaded m;
       assert false
     with
     | Halt -> Outcome.Finished (Buffer.contents m.out)

@@ -10,8 +10,9 @@
 # requires the CSV and the per-trial record file to be byte-identical.
 # A jobs-scaling smoke then runs a full-grid campaign at --jobs 1/2/4:
 # identical CSVs again, plus a wall-clock bound (jobs=4 must not lose
-# to jobs=1), rejoin work counters that are nonzero and equal at
-# --jobs 1 and 4, and trace/manifest artifacts from the jobs=4 run.
+# to jobs=1), rejoin and post-fault-loop work counters that are
+# nonzero and equal at --jobs 1 and 4, and trace/manifest artifacts
+# from the jobs=4 run.
 # This is the engine's core guarantee (README "Determinism guarantee")
 # exercised end-to-end through the installed CLI, records included.
 # The closure tables are held to the tree-walking reference, and the
@@ -79,6 +80,8 @@ echo "== jobs-scaling smoke: --jobs 1/2/4 byte-identical, jobs=4 not slower =="
 # artifacts.  120 trials per cell records rejoin journals, so the
 # manifests must show rejoin hits, and the same hits and steps saved
 # on one domain and on four: the counters are deterministic per trial.
+# Likewise trials must reach the post-fault loop (vm.ir.suffix_trials +
+# vm.x86.suffix_trials nonzero), each count the same at --jobs 1 and 4.
 scale_out=${SCALE_ARTIFACT_DIR:-$tmp}
 mkdir -p "$scale_out"
 scale() {
@@ -119,7 +122,26 @@ for m in vm.rejoin.hits vm.rejoin.steps_saved; do
         exit 1
     }
 done
+for m in vm.ir.suffix_trials vm.x86.suffix_trials; do
+    r1=$(manifest_metric "$scale_out/scale-manifest-j1.json" "$m")
+    r4=$(manifest_metric "$scale_out/scale-manifest-j4.json" "$m")
+    [ -n "$r1" ] || {
+        echo "FAIL: $m missing from the --jobs 1 manifest" >&2
+        exit 1
+    }
+    [ "$r1" = "$r4" ] || {
+        echo "FAIL: $m differs between --jobs 1 ($r1) and --jobs 4 ($r4)" >&2
+        exit 1
+    }
+done
+suffix_ir=$(manifest_metric "$scale_out/scale-manifest-j1.json" vm.ir.suffix_trials)
+suffix_x86=$(manifest_metric "$scale_out/scale-manifest-j1.json" vm.x86.suffix_trials)
+[ $((suffix_ir + suffix_x86)) -gt 0 ] || {
+    echo "FAIL: no trial reached the post-fault loop" >&2
+    exit 1
+}
 echo "   rejoin: hits $(manifest_metric "$scale_out/scale-manifest-j1.json" vm.rejoin.hits) at --jobs 1 and 4"
+echo "   post-fault loop: ir ${suffix_ir} + x86 ${suffix_x86} trials at --jobs 1 and 4"
 echo "   wall: jobs=1 ${w1}s  jobs=2 ${w2}s  jobs=4 ${w4}s"
 awk -v a="$w4" -v b="$w1" 'BEGIN { exit !(a <= b * 1.2) }' || {
     echo "FAIL: --jobs 4 wall ${w4}s exceeds --jobs 1 wall ${w1}s * 1.2" >&2

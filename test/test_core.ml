@@ -547,14 +547,14 @@ let lane_cells =
      "eb071feb8b75dad5a79470322e00d317");
   ]
 
+let outcome_key (st : Vm.Outcome.stats) =
+  match st.Vm.Outcome.outcome with
+  | Vm.Outcome.Finished out -> "F" ^ Digest.to_hex (Digest.string out)
+  | Vm.Outcome.Crashed t -> "C" ^ Vm.Trap.to_string t
+  | Vm.Outcome.Hung -> "H"
+
 let stats_line (st : Vm.Outcome.stats) =
-  let outcome =
-    match st.Vm.Outcome.outcome with
-    | Vm.Outcome.Finished out -> "F" ^ Digest.to_hex (Digest.string out)
-    | Vm.Outcome.Crashed t -> "C" ^ Vm.Trap.to_string t
-    | Vm.Outcome.Hung -> "H"
-  in
-  Printf.sprintf "%s|%d|%s|%d|%d|%s\n" outcome st.Vm.Outcome.steps
+  Printf.sprintf "%s|%d|%s|%d|%d|%s\n" (outcome_key st) st.Vm.Outcome.steps
     st.Vm.Outcome.fault_note st.Vm.Outcome.fault_site
     st.Vm.Outcome.injected_step
     (Vm.First_use.name st.Vm.Outcome.first_use)
@@ -589,6 +589,99 @@ let test_fault_models_pinned () =
     "stats digest per lane"
     (List.map (fun (lane, _, _, _, _, pinned) -> (lane, pinned)) lane_cells)
     digests
+
+(* --- post-fault loop against the general loop ---
+
+   Both VMs finish an injected trial on a hook-free loop once the fault
+   is in and any first-use watch has settled.  An IR trial run with
+   [~track_use:false] hands off right at the injection; with
+   [~track_use:true] it stays in the general loop until its watch
+   settles.  (An x86 trial always watches the corrupted register for
+   activation, so it hands off when that watch settles either way.)
+   Every stats field but [first_use] must agree, for every workload,
+   tool, category and fault model.  An IR run that records a
+   propagation trace never hands off, so it is the general loop from
+   the injection to the end and must give the untraced stats, first
+   use included. *)
+
+let prepared_all =
+  lazy (List.map (Core.Campaign.prepare small_config) Workloads.all)
+
+(* Every stats field except [first_use]. *)
+let stats_fields (st : Vm.Outcome.stats) =
+  Printf.sprintf "%s|%d|%b|%b|%s|%d|%d|%d" (outcome_key st) st.Vm.Outcome.steps
+    st.injected st.activated st.fault_note st.fault_bit st.injected_step
+    st.fault_site
+
+let test_post_fault_loop_matches_general () =
+  List.iter
+    (fun (p : Core.Campaign.prepared) ->
+      List.iter
+        (fun tool ->
+          List.iter
+            (fun category ->
+              if Core.Campaign.population p tool category > 0 then
+                List.iter
+                  (fun model ->
+                    let config = { small_config with trials = 4; model } in
+                    let stream track_use =
+                      let acc = ref [] in
+                      ignore
+                        (Core.Campaign.run_cell ~track_use
+                           ~on_stats:(fun _ _ st ->
+                             acc := stats_fields st :: !acc)
+                           config p tool category);
+                      List.rev !acc
+                    in
+                    Alcotest.(check (list string))
+                      (Printf.sprintf "%s/%s/%s/%s"
+                         p.workload.Core.Workload.name
+                         (Core.Campaign.tool_name tool)
+                         (Core.Category.name category)
+                         (Core.Fault_model.name model))
+                      (stream true) (stream false))
+                  Core.Fault_model.all)
+            Core.Category.all)
+        [ Core.Campaign.Llfi_tool; Core.Campaign.Pinfi_tool ])
+    (Lazy.force prepared_all)
+
+let test_ir_traced_matches_untraced () =
+  List.iter
+    (fun (p : Core.Campaign.prepared) ->
+      let llfi = p.llfi in
+      List.iteri
+        (fun k category ->
+          if Core.Llfi.dynamic_count llfi category > 0 then begin
+            let model =
+              List.nth Core.Fault_model.all
+                (k mod List.length Core.Fault_model.all)
+            in
+            let run ?trace () =
+              let rng = Support.Rng.of_int (100 + k) in
+              let target = Core.Llfi.plan_target llfi category rng in
+              let plan =
+                { Vm.Ir_exec.inj_mask = Core.Category.mask category; target;
+                  rng }
+              in
+              Vm.Ir_exec.run ~inputs:llfi.inputs ~max_steps:llfi.max_steps
+                ?trace
+                (Inject
+                   (plan, { (Vm.Fault_model.sampled model) with track_use = true }))
+                llfi.compiled
+            in
+            let untraced = run () in
+            let traced = run ~trace:(Vm.Ir_exec.create_trace ()) () in
+            Alcotest.(check string)
+              (Printf.sprintf "%s/%s/%s" p.workload.Core.Workload.name
+                 (Core.Category.name category)
+                 (Core.Fault_model.name model))
+              (stats_fields traced) (stats_fields untraced);
+            Alcotest.(check string) "same first use"
+              (Vm.First_use.name traced.first_use)
+              (Vm.First_use.name untraced.first_use)
+          end)
+        Core.Category.all)
+    (Lazy.force prepared_all)
 
 (* --- EDC severity --- *)
 
@@ -736,6 +829,13 @@ let () =
         ] );
       ( "fault model",
         [ ("every model x lane pinned", `Quick, test_fault_models_pinned) ] );
+      ( "post-fault",
+        [
+          ("matches the general loop", `Slow,
+           test_post_fault_loop_matches_general);
+          ("ir traced run matches untraced", `Quick,
+           test_ir_traced_matches_untraced);
+        ] );
       ( "edc",
         [
           ("tokenize", `Quick, test_edc_tokenize);

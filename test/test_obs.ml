@@ -106,22 +106,32 @@ let test_merge_jobs_invariant () =
   Alcotest.(check (list (pair string metric_value_pp)))
     "deterministic metrics identical for jobs=1 and jobs=4" metrics1 metrics4
 
-(* The rejoin work counters are deterministic per trial, so they merge
-   to the same totals on one domain and on two.  40 trials per cell is
-   enough for the engine to record journals, and the run must actually
-   rejoin. *)
+(* The rejoin and post-fault-loop work counters are deterministic per
+   trial, so they merge to the same totals on one domain and on two.
+   40 trials per cell is enough for the engine to record journals; one
+   mcf campaign per jobs value serves both tests below. *)
+let engine_counters =
+  lazy
+    (let run jobs =
+       with_telemetry (fun () ->
+           Obs.Metrics.enable ();
+           let config = { Core.Campaign.default_config with trials = 40 } in
+           ignore (Engine.Scheduler.run ~jobs config [ mcf ]);
+           Obs.Metrics.snapshot ())
+     in
+     let metrics1 = run 1 in
+     (metrics1, run 2))
+
+let engine_counters_matching keep =
+  let metrics1, metrics2 = Lazy.force engine_counters in
+  let only = List.filter (fun (name, _) -> keep name) in
+  (only metrics1, only metrics2)
+
+(* The run must actually rejoin. *)
 let test_rejoin_counters_jobs_invariant () =
-  let run jobs =
-    with_telemetry (fun () ->
-        Obs.Metrics.enable ();
-        let config = { Core.Campaign.default_config with trials = 40 } in
-        ignore (Engine.Scheduler.run ~jobs config [ mcf ]);
-        List.filter
-          (fun (name, _) -> String.starts_with ~prefix:"vm.rejoin." name)
-          (Obs.Metrics.snapshot ()))
+  let metrics1, metrics2 =
+    engine_counters_matching (String.starts_with ~prefix:"vm.rejoin.")
   in
-  let metrics1 = run 1 in
-  let metrics2 = run 2 in
   Alcotest.(check (list string))
     "the four rejoin counters"
     [
@@ -135,6 +145,27 @@ let test_rejoin_counters_jobs_invariant () =
     (List.assoc "vm.rejoin.hits" metrics1 <> Obs.Metrics.Count 0);
   Alcotest.(check (list (pair string metric_value_pp)))
     "rejoin counters identical for jobs=1 and jobs=2" metrics1 metrics2
+
+(* Trials reach the hook-free post-fault loop on both VMs. *)
+let test_suffix_counters_jobs_invariant () =
+  let metrics1, metrics2 =
+    engine_counters_matching (String.ends_with ~suffix:".suffix_trials")
+  in
+  Alcotest.(check (list string))
+    "the two suffix counters"
+    [ "vm.ir.suffix_trials"; "vm.x86.suffix_trials" ]
+    (List.map fst metrics1);
+  let total =
+    List.fold_left
+      (fun acc (_, v) ->
+        match v with Obs.Metrics.Count n -> acc + n | _ -> acc)
+      0 metrics1
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d trials reached the post-fault loop" total)
+    true (total > 0);
+  Alcotest.(check (list (pair string metric_value_pp)))
+    "suffix counters identical for jobs=1 and jobs=2" metrics1 metrics2
 
 let test_snapshot_sorted_and_complete () =
   with_telemetry (fun () ->
@@ -301,6 +332,8 @@ let () =
             test_merge_jobs_invariant;
           Alcotest.test_case "rejoin counters jobs=1 vs jobs=2" `Slow
             test_rejoin_counters_jobs_invariant;
+          Alcotest.test_case "suffix counters jobs=1 vs jobs=2" `Slow
+            test_suffix_counters_jobs_invariant;
           Alcotest.test_case "snapshot sorted and complete" `Quick
             test_snapshot_sorted_and_complete;
         ] );
