@@ -2230,6 +2230,7 @@ let init_memory (c : compiled) =
 let m_run_steps = Obs.Metrics.histogram "vm.ir.run_steps"
 let m_ff_trials = Obs.Metrics.counter "vm.ir.ff_trials"
 let m_ff_rebuilds = Obs.Metrics.counter "vm.ir.ff_rebuilds"
+let m_ff_advance_steps = Obs.Metrics.counter "vm.ir.ff_advance_steps"
 let m_checkpoint_depth = Obs.Metrics.histogram "vm.ir.checkpoint_depth"
 let m_suffix_trials = Obs.Metrics.counter "vm.ir.suffix_trials"
 
@@ -2391,7 +2392,9 @@ let ff_trial ff ~fault ~target ~max_steps ~rng =
     if exec_frames ff.ff_c roll then
       invalid_arg "Ir_exec.ff_trial: target beyond the category's population"
   in
+  let from = roll.steps in
   Phase.traced "ff-advance" ~target advance;
+  Obs.Metrics.incr ~by:(roll.steps - from) m_ff_advance_steps;
   let snap = Memory.freeze roll.mem in
   Obs.Metrics.observe m_checkpoint_depth (Memory.snapshot_depth snap);
   let out = Buffer.create (Buffer.length roll.out + 1024) in

@@ -1314,6 +1314,7 @@ let run_machine (loaded : loaded) m =
 let m_run_steps = Obs.Metrics.histogram "vm.x86.run_steps"
 let m_ff_trials = Obs.Metrics.counter "vm.x86.ff_trials"
 let m_ff_rebuilds = Obs.Metrics.counter "vm.x86.ff_rebuilds"
+let m_ff_advance_steps = Obs.Metrics.counter "vm.x86.ff_advance_steps"
 let m_checkpoint_depth = Obs.Metrics.histogram "vm.x86.checkpoint_depth"
 let m_suffix_trials = Obs.Metrics.counter "vm.x86.suffix_trials"
 
@@ -1497,7 +1498,9 @@ let ff_trial ff ~fault ~target ~max_steps ~rng =
     | exception Halt ->
       invalid_arg "X86_exec.ff_trial: target beyond the category's population"
   in
+  let from = roll.steps in
   Phase.traced "ff-advance" ~target advance;
+  Obs.Metrics.incr ~by:(roll.steps - from) m_ff_advance_steps;
   let snap = Memory.freeze roll.mem in
   Obs.Metrics.observe m_checkpoint_depth (Memory.snapshot_depth snap);
   let out = Buffer.create (Buffer.length roll.out + 1024) in

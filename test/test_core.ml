@@ -501,6 +501,59 @@ let test_ff_trial_any_order () =
         (Some stats = replayed.(i)))
     reference
 
+(* The snapshot executor's work, counted exactly.  A sequential
+   mcf+hmmer campaign (all cells, 120 trials) advances its rolling
+   machines [vm.{ir,x86}.ff_advance_steps] steps, where from-entry
+   trials would run each trial's prefix: the sum of [injected_step].
+   Sharing the prefix must at least halve that work.  A runner rebuilt
+   per trial advances as much as the from-entry trials run. *)
+let test_snapshot_advance_pinned () =
+  let config = { Core.Campaign.default_config with trials = 120 } in
+  let prefix = Array.make 2 0 in
+  let advance =
+    Fun.protect ~finally:Obs.Metrics.reset (fun () ->
+        Obs.Metrics.reset ();
+        Obs.Metrics.enable ();
+        List.iter
+          (fun name ->
+            let p = Core.Campaign.prepare config (Workloads.find_exn name) in
+            List.iteri
+              (fun k tool ->
+                List.iter
+                  (fun category ->
+                    ignore
+                      (Core.Campaign.run_cell
+                         ~on_stats:(fun _ _ st ->
+                           let s = st.Vm.Outcome.injected_step in
+                           if s >= 0 then prefix.(k) <- prefix.(k) + s)
+                         config p tool category))
+                  Core.Category.all)
+              [ Core.Campaign.Llfi_tool; Core.Campaign.Pinfi_tool ])
+          [ "mcf"; "hmmer" ];
+        List.filter_map
+          (fun (name, v) ->
+            match v with
+            | Obs.Metrics.Count n
+              when String.ends_with ~suffix:".ff_advance_steps" name ->
+              Some (name, n)
+            | _ -> None)
+          (Obs.Metrics.snapshot ()))
+  in
+  Alcotest.(check (list (pair string int)))
+    "rolling-machine advance, pinned"
+    [
+      ("vm.ir.ff_advance_steps", 1578724); ("vm.x86.ff_advance_steps", 1430972);
+    ]
+    advance;
+  Alcotest.(check (array int)) "from-entry prefixes (LLFI, PINFI), pinned"
+    [| 97104255; 85165292 |] prefix;
+  let advanced = List.fold_left (fun acc (_, n) -> acc + n) 0 advance in
+  Alcotest.(check bool)
+    (Printf.sprintf "prefix sum %d >= 2 x advance %d" (prefix.(0) + prefix.(1))
+       advanced)
+    true
+    (prefix.(0) + prefix.(1) >= 2 * advanced)
+
 (* --- fault-model semantics, pinned ---
 
    Every fault model against every destination lane both VMs corrupt:
@@ -826,6 +879,7 @@ let () =
           ("matches direct execution", `Quick, test_snapshot_matches_direct);
           ("runner reuse + rejection", `Quick, test_snapshot_runner_reuse);
           ("any target order", `Quick, test_ff_trial_any_order);
+          ("prefix work pinned", `Slow, test_snapshot_advance_pinned);
         ] );
       ( "fault model",
         [ ("every model x lane pinned", `Quick, test_fault_models_pinned) ] );

@@ -223,7 +223,27 @@ let test_first_use_invariants () =
   in
   Alcotest.(check bool) "some addr uses" true (count Vm.First_use.Uaddr > 0);
   Alcotest.(check bool) "some control uses" true
-    (count Vm.First_use.Ucontrol > 0)
+    (count Vm.First_use.Ucontrol > 0);
+  (* Each (tool, class) count, pinned: a change that loses or misfiles
+     first uses (a trial handed to the post-fault loop with its watch
+     still open, say) moves them. *)
+  let classes tool =
+    List.map
+      (fun use ->
+        ( Vm.First_use.name use,
+          List.length
+            (List.filter
+               (fun (r : Diagnose.Record.t) ->
+                 r.tool = tool && r.first_use = use)
+               records) ))
+      Vm.First_use.all
+  in
+  Alcotest.(check (list (pair string int))) "LLFI first-use classes"
+    [ ("addr", 25); ("stack", 0); ("control", 43); ("data", 28); ("none", 0) ]
+    (classes Core.Campaign.Llfi_tool);
+  Alcotest.(check (list (pair string int))) "PINFI first-use classes"
+    [ ("addr", 18); ("stack", 2); ("control", 39); ("data", 35); ("none", 2) ]
+    (classes Core.Campaign.Pinfi_tool)
 
 (* --- use tracking does not perturb results --- *)
 

@@ -174,6 +174,35 @@ let test_sample_bound () =
       (bounded.Core.Campaign.e_bound > 0.0)
   end
 
+(* The pruning claim on a real cell, counted exactly: mcf x LLFI x
+   arithmetic with the residual sampler capped at 2000 executions
+   covers 114 faults per fault it executes.  Every count is pinned, so
+   a rule that settles fewer faults (or an enumeration that finds more)
+   shows up here. *)
+let test_mcf_pruning_pinned () =
+  let p = Core.Campaign.prepare campaign_config (Workloads.find_exn "mcf") in
+  let e =
+    Exhaust.run_cell
+      { Exhaust.default_config with sample_bound = 2000 }
+      p Core.Campaign.Llfi_tool Core.Category.Arithmetic
+  in
+  Alcotest.(check (list (pair string int)))
+    "enumerated, settled by each rule, executed"
+    [
+      ("enumerated", 227115);
+      ("dead", 0);
+      ("masked", 0);
+      ("equiv", 60389);
+      ("executed", 1989);
+    ]
+    [
+      ("enumerated", e.Core.Campaign.e_enumerated);
+      ("dead", e.Core.Campaign.e_pruned_dead);
+      ("masked", e.Core.Campaign.e_pruned_masked);
+      ("equiv", e.Core.Campaign.e_pruned_equiv);
+      ("executed", e.Core.Campaign.e_executed);
+    ]
+
 (* --- pruning soundness: replay what the planner claims ---
 
    For sampled faults across generated programs, [Exhaust.fate]'s
@@ -283,6 +312,10 @@ let () =
           ("pool vs sequential csv", `Slow, test_jobs_determinism);
           ("xcell journal round-trip", `Quick, test_xcell_roundtrip);
         ] );
-      ( "sampling", [ ("bounded residual", `Slow, test_sample_bound) ] );
+      ( "sampling",
+        [
+          ("bounded residual", `Slow, test_sample_bound);
+          ("mcf pruning pinned", `Slow, test_mcf_pruning_pinned);
+        ] );
       ( "soundness", [ QCheck_alcotest.to_alcotest test_fate_soundness_property ] );
     ]

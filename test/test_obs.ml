@@ -146,14 +146,16 @@ let test_rejoin_counters_jobs_invariant () =
   Alcotest.(check (list (pair string metric_value_pp)))
     "rejoin counters identical for jobs=1 and jobs=2" metrics1 metrics2
 
-(* Trials reach the hook-free post-fault loop on both VMs. *)
-let test_suffix_counters_jobs_invariant () =
+(* A per-VM work counter pair ([vm.ir.<kind>], [vm.x86.<kind>]): both
+   present, nonzero in total, and the same on one domain and on two
+   (mcf's ten cells each run as one trial range at both jobs values). *)
+let check_vm_counters ~what kind =
   let metrics1, metrics2 =
-    engine_counters_matching (String.ends_with ~suffix:".suffix_trials")
+    engine_counters_matching (String.ends_with ~suffix:("." ^ kind))
   in
   Alcotest.(check (list string))
-    "the two suffix counters"
-    [ "vm.ir.suffix_trials"; "vm.x86.suffix_trials" ]
+    ("the two " ^ what ^ " counters")
+    [ "vm.ir." ^ kind; "vm.x86." ^ kind ]
     (List.map fst metrics1);
   let total =
     List.fold_left
@@ -161,11 +163,19 @@ let test_suffix_counters_jobs_invariant () =
         match v with Obs.Metrics.Count n -> acc + n | _ -> acc)
       0 metrics1
   in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d trials reached the post-fault loop" total)
-    true (total > 0);
+  Alcotest.(check bool) (Printf.sprintf "%s total %d > 0" what total) true
+    (total > 0);
   Alcotest.(check (list (pair string metric_value_pp)))
-    "suffix counters identical for jobs=1 and jobs=2" metrics1 metrics2
+    (what ^ " counters identical for jobs=1 and jobs=2")
+    metrics1 metrics2
+
+(* Trials reach the hook-free post-fault loop on both VMs. *)
+let test_suffix_counters_jobs_invariant () =
+  check_vm_counters ~what:"suffix" "suffix_trials"
+
+(* Both VMs' rolling machines report their fast-forward advance. *)
+let test_advance_counters_jobs_invariant () =
+  check_vm_counters ~what:"advance" "ff_advance_steps"
 
 let test_snapshot_sorted_and_complete () =
   with_telemetry (fun () ->
@@ -334,6 +344,8 @@ let () =
             test_rejoin_counters_jobs_invariant;
           Alcotest.test_case "suffix counters jobs=1 vs jobs=2" `Slow
             test_suffix_counters_jobs_invariant;
+          Alcotest.test_case "advance steps jobs=1 vs jobs=2" `Slow
+            test_advance_counters_jobs_invariant;
           Alcotest.test_case "snapshot sorted and complete" `Quick
             test_snapshot_sorted_and_complete;
         ] );
